@@ -13,8 +13,8 @@ lying strictly between c and beta_i.
 Everything is exact integer arithmetic; there is no floating point here.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from math import factorial
 
 from . import partitions as pt
@@ -54,8 +54,8 @@ def _strip_removals(shape: Partition, t: int) -> list[tuple[Partition, int]]:
 def _mn(shape: Partition, mu: Partition, memo: _Memo) -> int:
     """Character value chi^shape(mu) by iterative strip removal.
 
-    memo is keyed by (shape, remaining mu suffix). Entries are written
-    once with their final value, so a memo may be shared across threads.
+    memo is keyed by (shape, remaining mu suffix), so one memo serves
+    every column of a table.
     Uses an explicit work stack: recursion depth grows with len(mu),
     which can exceed the interpreter limit for cycle types with many
     fixed points at large n.
@@ -163,44 +163,37 @@ class CharacterTable:
         }
 
 
-def character_table(n: int, cap: int | None = None, threads: int = 1) -> CharacterTable:
-    """Build the full table for S_n; all p_n^2 values, shared memo.
+def check_table_cap(n: int, cap: int | None = None) -> None:
+    """Fail before any table work unless the p_n^2 entries fit the cap."""
+    limit = pt.enumeration_cap(cap)
+    pn = pt.partition_count(n)
+    if pn * pn > limit:
+        raise CapExceededError(
+            f"a table for n={n} needs p_n^2 = {pn * pn} entries"
+            f" (exceeds cap {limit})"
+        )
 
-    threads > 1 splits work by class column. Results are identical for
-    any thread count: each entry is a pure function of its key and the
-    memo is write-once.
+
+def table_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, list[int]]]:
+    """Yield (mu, column) for every class mu of S_n in canonical order.
+
+    column[i] is the value at mu of the i-th shape in canonical order. One
+    memo serves all columns; a reader that consumes the stream column by
+    column never holds the p_n^2 table. The cap is checked on the first
+    next(), before any value is computed.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    check_table_cap(n, cap)
     labels = pt.enumerate_partitions(n, cap)
     memo: _Memo = {}
+    for mu in labels:
+        yield mu, [_mn(sh, mu, memo) for sh in labels]
 
-    def column(mu: Partition) -> list[int]:
-        return [_mn(sh, mu, memo) for sh in labels]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            cols = list(ex.map(column, labels))
-    else:
-        cols = [column(mu) for mu in labels]
-    values = tuple(
-        tuple(cols[j][i] for j in range(len(labels)))
-        for i in range(len(labels))
-    )
+def character_table(n: int, cap: int | None = None) -> CharacterTable:
+    """Build the full table for S_n: the column stream, transposed."""
+    classes, cols = zip(*table_columns(n, cap))
     return CharacterTable(
-        n=n, characters=tuple(labels), classes=tuple(labels), values=values
+        n=n, characters=classes, classes=classes, values=tuple(zip(*cols))
     )
-
-
-_table_cache: dict[int, CharacterTable] = {}
-_TABLE_CACHE_MAX_PN = 2000
-
-def cached_table(n: int, cap: int | None = None) -> CharacterTable:
-    """character_table with an in-process cache for small n (p_n <= 2000)."""
-    got = _table_cache.get(n)
-    if got is not None:
-        return got
-    tbl = character_table(n, cap)
-    if pt.partition_count(n) <= _TABLE_CACHE_MAX_PN:
-        _table_cache[n] = tbl
-    return tbl

@@ -54,6 +54,15 @@ def _parse_int(value, what: str) -> int:
     raise ValueError(f"{what} must be a decimal integer, got {value!r}")
 
 
+def rational_json(x: Fraction | None) -> dict | None:
+    """Exact JSON form {"num", "den"} of a rational, as decimal strings;
+    None stays None. _parse_entry reads it back.
+    """
+    if x is None:
+        return None
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
 def _parse_entry(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"table entry {where} must be an integer or rational")
@@ -164,13 +173,11 @@ class PropositionReport:
     omega_names: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> dict:
-            return {"num": str(x.numerator), "den": str(x.denominator)}
         return {
-            "q": frac(self.q),
-            "r": frac(self.r),
-            "lower_bound": frac(self.lower_bound),
-            "exact_p": frac(self.exact_p) if self.exact_p is not None else None,
+            "q": rational_json(self.q),
+            "r": rational_json(self.r),
+            "lower_bound": rational_json(self.lower_bound),
+            "exact_p": rational_json(self.exact_p),
             "omega_names": list(self.omega_names),
         }
 
@@ -216,13 +223,11 @@ class OmegaCheckRecord:
     default_is_max: bool
 
     def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> dict:
-            return {"num": str(x.numerator), "den": str(x.denominator)}
         return {
             "method": self.method,
             "subsets_checked": self.subsets_checked,
-            "max_value": frac(self.max_value),
-            "default_value": frac(self.default_value),
+            "max_value": rational_json(self.max_value),
+            "default_value": rational_json(self.default_value),
             "default_is_max": self.default_is_max,
         }
 

@@ -16,9 +16,9 @@ Two samplers:
   them, by rejection-sampling an integer rank below p_n and unranking.
 """
 
-from dataclasses import dataclass, field
+from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import partitions as pt
 from .partitions import Partition
@@ -29,7 +29,13 @@ BLOCK_SIZE = 16384
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, block index)."""
+    """Philox generator keyed by (seed, block index).
+
+    numpy is imported here, its only use, so that commands which draw no
+    samples do not pay for the import.
+    """
+    import numpy as np
+
     return np.random.Generator(
         np.random.Philox(key=[seed & MASK64, index & MASK64])
     )

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import characters as ch
 from . import partitions as pt
+from .groups import rational_json
 
 
 @dataclass(frozen=True)
@@ -35,32 +36,21 @@ class TableStats:
             "zeros": self.zero_entries,
             "positives": self.positive_entries,
             "negatives": self.negative_entries,
-            "zero_density": {
-                "num": str(self.zero_density.numerator),
-                "den": str(self.zero_density.denominator),
-            },
-            "sign_ratio": (
-                None if self.sign_ratio is None else {
-                    "num": str(self.sign_ratio.numerator),
-                    "den": str(self.sign_ratio.denominator),
-                }
-            ),
+            "zero_density": rational_json(self.zero_density),
+            "sign_ratio": rational_json(self.sign_ratio),
         }
 
 
 def table_stats(n: int, cap: int | None = None) -> TableStats:
-    """Exact zero/positive/negative counts for the table of S_n."""
-    tbl = ch.cached_table(n, cap)
+    """Exact zero/positive/negative counts for the table of S_n, taken one
+    column at a time.
+    """
     zeros = positives = negatives = 0
-    for row in tbl.values:
-        for v in row:
-            if v == 0:
-                zeros += 1
-            elif v > 0:
-                positives += 1
-            else:
-                negatives += 1
-    pn = len(tbl.classes)
+    for _, col in ch.table_columns(n, cap):
+        zeros += col.count(0)
+        positives += sum(1 for v in col if v > 0)
+        negatives += sum(1 for v in col if v < 0)
+    pn = pt.partition_count(n)
     total = pn * pn
     if zeros + positives + negatives != total:
         raise AssertionError(f"entry counts do not cover the table at n={n}")
@@ -75,7 +65,12 @@ def table_stats(n: int, cap: int | None = None) -> TableStats:
 
 
 def stats_series(n_min: int, n_max: int, cap: int | None = None) -> list[TableStats]:
-    """table_stats for each n in [n_min, n_max]; empty when n_min > n_max."""
+    """table_stats for each n in [n_min, n_max]; empty when n_min > n_max.
+
+    The cap is checked for n_max before any table work.
+    """
+    if n_min <= n_max:
+        ch.check_table_cap(n_max, cap)
     return [table_stats(n, cap) for n in range(n_min, n_max + 1)]
 
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 from . import characters as ch
 from . import partitions as pt
 from . import sampling as sp
+from .groups import rational_json
 from .partitions import Partition
 from .sampling import SampleSummary
 
@@ -118,16 +119,12 @@ def q_of_omega(n: int, omega) -> Fraction:
 
 def exact_pzero(n: int, cap: int | None = None) -> Fraction:
     """P_n exactly: (1/p_n) * sum over classes mu of (zeros in column mu)/z_mu."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    tbl = ch.cached_table(n, cap)
-    pn = len(tbl.classes)
     total = Fraction(0)
-    for j, mu in enumerate(tbl.classes):
-        zeros = sum(1 for i in range(pn) if tbl.values[i][j] == 0)
+    for mu, col in ch.table_columns(n, cap):
+        zeros = col.count(0)
         if zeros:
             total += Fraction(zeros, pt.centralizer_order(mu))
-    return total / pn
+    return total / pt.partition_count(n)
 
 
 @dataclass(frozen=True)
@@ -146,16 +143,14 @@ class BoundReport:
     exact_p: Fraction | None
 
     def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> dict:
-            return {"num": str(x.numerator), "den": str(x.denominator)}
         return {
             "n": self.n,
             "p_n": str(self.p_n),
             "omega_count": str(self.omega_count),
-            "q_n": frac(self.q_n),
-            "r_n": frac(self.r_n),
-            "lower_bound": frac(self.lower_bound),
-            "exact_p": frac(self.exact_p) if self.exact_p is not None else None,
+            "q_n": rational_json(self.q_n),
+            "r_n": rational_json(self.r_n),
+            "lower_bound": rational_json(self.lower_bound),
+            "exact_p": rational_json(self.exact_p),
         }
 
 
@@ -169,12 +164,15 @@ def lemma_bound(
 
     With compute_exact, also evaluates P_n and asserts the sandwich
     1 >= P_n >= Q_n - R_n in exact arithmetic; a violation would be an
-    implementation bug, not a data condition.
+    implementation bug, not a data condition. The table cap is then
+    checked before Omega is enumerated.
     """
     if n < 2:
         raise ValueError("bound reports need n >= 2")
     if spec is None:
         spec = OmegaSpec()
+    if compute_exact:
+        ch.check_table_cap(n, cap)
     omega = omega_set(n, spec, cap)
     pn = pt.partition_count(n)
     q = q_of_omega(n, omega)

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 import oracles as orc
 from snchar import characters as ch
 from snchar import partitions as pt
+from snchar import vanishing as vn
+from snchar.table_stats import table_stats
 
 
 def _same_n_pairs(max_n=12):
@@ -72,7 +74,7 @@ class TestSingleValues:
     @given(_same_n_pairs(max_n=10))
     def test_value_matches_table(self, pair):
         sh, mu = pair
-        tbl = ch.cached_table(sum(sh))
+        tbl = ch.character_table(sum(sh))
         assert ch.mn_value(sh, mu) == tbl.value(sh, mu)
 
 
@@ -141,12 +143,15 @@ class TestTable:
                     )
                     assert got == (1 if a == b else 0)
 
-    def test_threads_give_identical_table(self):
-        assert ch.character_table(7, threads=4) == ch.character_table(7)
-
     def test_cap(self):
         with pytest.raises(pt.CapExceededError):
             ch.character_table(30, cap=100)
+
+    def test_cap_counts_entries_not_labels(self):
+        # p_10 = 42 fits a cap of 100, but the 42^2 = 1764 entries do not
+        with pytest.raises(pt.CapExceededError, match=r"p_n\^2 = 1764"):
+            ch.character_table(10, cap=100)
+        assert ch.character_table(10, cap=42 * 42).n == 10
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -168,5 +173,25 @@ class TestTable:
         assert doc["classes"] == ["3", "2-1", "1-1-1"]
         assert doc["values"][1] == ["-1", "0", "2"]
 
-    def test_cached_table_reuses(self):
-        assert ch.cached_table(6) is ch.cached_table(6)
+
+class TestColumnStream:
+    def test_readers_match_the_table(self):
+        for n in range(1, 13):
+            tbl = ch.character_table(n)
+            want = [
+                (mu, [row[j] for row in tbl.values])
+                for j, mu in enumerate(tbl.classes)
+            ]
+            assert list(ch.table_columns(n)) == want
+
+            p = sum(
+                Fraction(col.count(0), pt.centralizer_order(mu))
+                for mu, col in want
+            ) / len(tbl.classes)
+            assert vn.exact_pzero(n) == p
+
+            entries = [v for row in tbl.values for v in row]
+            s = table_stats(n)
+            assert s.zero_entries == sum(1 for v in entries if v == 0)
+            assert s.positive_entries == sum(1 for v in entries if v > 0)
+            assert s.negative_entries == sum(1 for v in entries if v < 0)

@@ -41,6 +41,20 @@ class TestExitCodes:
     def test_cap_exceeded_table(self, capsys):
         assert cli.run(["table", "80"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "10"],
+        ["pzero", "10"],
+        ["bound", "10"],
+        ["table-stats", "3", "10"],
+        ["export-group", "10"],
+    ])
+    def test_cap_counts_table_entries(self, capsys, argv):
+        # p_10 = 42 fits a cap of 100, but the 42^2 = 1764 entries do not
+        assert cli.run(argv + ["--cap", "100"]) == 3
+        captured = capsys.readouterr()
+        assert "p_n^2 = 1764" in captured.err
+        assert captured.out == ""
+
     def test_help(self, capsys):
         assert cli.run(["--help"]) == 0
 
