@@ -3,12 +3,17 @@
 Single values come from the recursive border-strip expansion: removing a
 strip of size t from shape lambda for the largest remaining part t of the
 cycle type mu, with the sign determined by the strip height, and summing
-over all legal removals. Strips are found through the first-column hook
-length encoding (beta numbers): shape (l_1 >= ... >= l_m) maps to the
-strictly decreasing set beta_i = l_i + m - 1 - i, a strip of size t is
-removable at row i exactly when c = beta_i - t is nonnegative and not
-already in the set, and the strip height is the number of beta values
-lying strictly between c and beta_i.
+over all legal removals. A shape is held as a bead mask (the James-Kerber
+abacus): shape (l_1 >= ... >= l_m) is the int with bits beta_i =
+l_i + m - 1 - i set. A strip of size t is removable at bead b exactly when
+b >= t and bit b - t is clear, and removing it moves the bead from b to
+b - t; the strip height is the number of beads strictly between. Trailing
+zero parts are the trailing one bits of the mask, so a mask is normalised
+by shifting them out, and equal shapes always meet as equal ints.
+
+A table evaluates only one shape of each conjugate pair and fills the other
+from chi^{lambda'}(mu) = sgn(mu) chi^lambda(mu), with sgn(mu) =
+(-1)^(n - len(mu)).
 
 Everything is exact integer arithmetic; there is no floating point here.
 """
@@ -20,71 +25,62 @@ from math import factorial
 from . import partitions as pt
 from .partitions import Partition, CapExceededError
 
-_Memo = dict[tuple[Partition, tuple[int, ...]], int]
-
-
-def _strip_removals(shape: Partition, t: int) -> list[tuple[Partition, int]]:
-    """All ways to remove a border strip of size t from shape.
-
-    Returns (smaller shape, sign) pairs ordered by the row where the strip
-    starts, topmost first.
-    """
-    m = len(shape)
-    beta = [shape[i] + (m - 1 - i) for i in range(m)]
-    bset = set(beta)
-    out = []
-    for i in range(m):
-        c = beta[i] - t
-        if c < 0 or c in bset:
-            continue
-        height = 0
-        for j in range(i + 1, m):
-            if beta[j] > c:
-                height += 1
-            else:
-                break
-        nb = sorted(beta[:i] + beta[i + 1:] + [c], reverse=True)
-        ns = tuple(nb[k] - (m - 1 - k) for k in range(m))
-        while ns and ns[-1] == 0:
-            ns = ns[:-1]
-        out.append((ns, -1 if height % 2 else 1))
-    return out
+_Key = tuple[int, Partition]  # (bead mask, remaining mu suffix)
+_Memo = dict[_Key, int]
 
 
 def _mn(shape: Partition, mu: Partition, memo: _Memo) -> int:
     """Character value chi^shape(mu) by iterative strip removal.
 
-    memo is keyed by (shape, remaining mu suffix), so one memo serves
-    every column of a table.
+    shape is turned into its bead mask, and memo is keyed by (normalised
+    bead mask, remaining mu suffix), so one memo serves every column of a
+    table and every single value of a run. The movable beads for part t
+    are beads & ~(beads << t) & ~((1 << t) - 1), a move is
+    beads ^ (1 << b) ^ (1 << (b - t)), and its sign is the parity of the
+    t - 1 bits above b - t.
     Uses an explicit work stack: recursion depth grows with len(mu),
     which can exceed the interpreter limit for cycle types with many
     fixed points at large n.
     """
-    root = (shape, mu)
+    # parts are positive, so bit 0 is clear and the root mask is normalised
+    m = len(shape)
+    beads = 0
+    for i, part in enumerate(shape):
+        beads |= 1 << (part + m - 1 - i)
+    root = (beads, mu)
     stack = [root]
     # pending[key] holds the signed child keys once they are scheduled
-    pending: dict[tuple[Partition, Partition], list[tuple[tuple[Partition, Partition], int]]] = {}
+    pending: dict[_Key, list[tuple[_Key, int]]] = {}
     while stack:
         key = stack[-1]
         if key in memo:
             stack.pop()
             continue
-        sh, rest = key
+        beads, rest = key
         if not rest:
             memo[key] = 1
             stack.pop()
             continue
-        children = pending.get(key)
+        children = pending.pop(key, None)
         if children is None:
             t, tail = rest[0], rest[1:]
-            children = [((ns, tail), sign) for ns, sign in _strip_removals(sh, t)]
-            pending[key] = children
+            between = (1 << (t - 1)) - 1
+            movable = beads & ~(beads << t) & ~((1 << t) - 1)
+            children = []
+            while movable:
+                bit = movable & -movable
+                movable ^= bit
+                b = bit.bit_length() - 1
+                moved = beads ^ bit ^ (bit >> t)
+                moved >>= (~moved & (moved + 1)).bit_length() - 1
+                odd = ((beads >> (b - t + 1)) & between).bit_count() & 1
+                children.append(((moved, tail), -1 if odd else 1))
             missing = [ck for ck, _ in children if ck not in memo]
             if missing:
+                pending[key] = children
                 stack.extend(missing)
                 continue
         memo[key] = sum(sign * memo[ck] for ck, sign in children)
-        del pending[key]
         stack.pop()
     return memo[root]
 
@@ -177,8 +173,10 @@ def check_table_cap(n: int, cap: int | None = None) -> None:
 def table_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, list[int]]]:
     """Yield (mu, column) for every class mu of S_n in canonical order.
 
-    column[i] is the value at mu of the i-th shape in canonical order. One
-    memo serves all columns; a reader that consumes the stream column by
+    column[i] is the value at mu of the i-th shape in canonical order. Only
+    the first shape of each conjugate pair (and each self-conjugate shape)
+    is evaluated; its partner is sgn(mu) times that value. One memo serves
+    all columns; a reader that consumes the stream column by
     column never holds the p_n^2 table. The cap is checked on the first
     next(), before any value is computed.
     """
@@ -186,9 +184,18 @@ def table_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, l
         raise ValueError("n must be positive")
     check_table_cap(n, cap)
     labels = pt.enumerate_partitions(n, cap)
+    index = {sh: i for i, sh in enumerate(labels)}
+    conj = [index[pt.conjugate(sh)] for sh in labels]
     memo: _Memo = {}
     for mu in labels:
-        yield mu, [_mn(sh, mu, memo) for sh in labels]
+        sign = -1 if (n - len(mu)) % 2 else 1
+        column = [0] * len(labels)
+        for i, sh in enumerate(labels):
+            if i <= conj[i]:
+                value = _mn(sh, mu, memo)
+                column[i] = value
+                column[conj[i]] = sign * value
+        yield mu, column
 
 
 def character_table(n: int, cap: int | None = None) -> CharacterTable:

@@ -5,6 +5,10 @@ package: characters come from permutation modules and exact inner
 products, not strip removal; class data comes from enumerating actual
 permutations; tableau counts come from corner-removal recursion, not hook
 products. Feasible for small n only.
+
+The one exception is reference_mn, the package's former strip-removal
+kernel on sorted beta lists, kept verbatim as the reference for the
+bead-mask kernel that replaced it.
 """
 
 import itertools
@@ -140,6 +144,74 @@ def oracle_pzero(n: int) -> Fraction:
             if v == 0:
                 total += Fraction(sizes[k], order)
     return total / len(table)
+
+
+# -- strip removal on sorted beta lists ---------------------------------------
+
+def _strip_removals(shape: tuple, t: int) -> list[tuple[tuple, int]]:
+    """All ways to remove a border strip of size t from shape.
+
+    Returns (smaller shape, sign) pairs ordered by the row where the strip
+    starts, topmost first.
+    """
+    m = len(shape)
+    beta = [shape[i] + (m - 1 - i) for i in range(m)]
+    bset = set(beta)
+    out = []
+    for i in range(m):
+        c = beta[i] - t
+        if c < 0 or c in bset:
+            continue
+        height = 0
+        for j in range(i + 1, m):
+            if beta[j] > c:
+                height += 1
+            else:
+                break
+        nb = sorted(beta[:i] + beta[i + 1:] + [c], reverse=True)
+        ns = tuple(nb[k] - (m - 1 - k) for k in range(m))
+        while ns and ns[-1] == 0:
+            ns = ns[:-1]
+        out.append((ns, -1 if height % 2 else 1))
+    return out
+
+
+def reference_mn(shape: tuple, mu: tuple, memo: dict) -> int:
+    """Character value chi^shape(mu) by iterative strip removal.
+
+    memo is keyed by (shape, remaining mu suffix), so one memo serves
+    every column of a table.
+    Uses an explicit work stack: recursion depth grows with len(mu),
+    which can exceed the interpreter limit for cycle types with many
+    fixed points at large n.
+    """
+    root = (shape, mu)
+    stack = [root]
+    # pending[key] holds the signed child keys once they are scheduled
+    pending: dict[tuple[tuple, tuple], list[tuple[tuple[tuple, tuple], int]]] = {}
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        sh, rest = key
+        if not rest:
+            memo[key] = 1
+            stack.pop()
+            continue
+        children = pending.get(key)
+        if children is None:
+            t, tail = rest[0], rest[1:]
+            children = [((ns, tail), sign) for ns, sign in _strip_removals(sh, t)]
+            pending[key] = children
+            missing = [ck for ck, _ in children if ck not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+        memo[key] = sum(sign * memo[ck] for ck, sign in children)
+        del pending[key]
+        stack.pop()
+    return memo[root]
 
 
 # -- tableau counting -----------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from snchar import characters as ch
@@ -19,6 +19,23 @@ def _same_n_pairs(max_n=12):
     return st.builds(
         build,
         st.integers(min_value=1, max_value=max_n),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=10**6),
+    )
+
+
+def _pairs_with_fixed_points(max_n=40):
+    """(shape, mu) of one n <= max_n, where mu ends in a drawn run of ones."""
+    def build(n, ones, seed_a, seed_b):
+        ones = ones % (n + 1)
+        shape = pt.unrank(n, seed_a % pt.partition_count(n))
+        head = pt.unrank(n - ones, seed_b % pt.partition_count(n - ones))
+        return shape, head + (1,) * ones
+
+    return st.builds(
+        build,
+        st.integers(min_value=1, max_value=max_n),
+        st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=0, max_value=10**6),
     )
@@ -76,6 +93,25 @@ class TestSingleValues:
         sh, mu = pair
         tbl = ch.character_table(sum(sh))
         assert ch.mn_value(sh, mu) == tbl.value(sh, mu)
+
+
+class TestReferenceKernel:
+    """The bead-mask kernel against the sorted-beta-list kernel it replaced."""
+
+    def test_every_pair_up_to_12(self):
+        for n in range(1, 13):
+            labels = pt.enumerate_partitions(n)
+            memo = {}
+            for sh in labels:
+                for mu in labels:
+                    want = orc.reference_mn(sh, mu, memo)
+                    assert ch.mn_value(sh, mu) == want, (sh, mu)
+
+    @settings(max_examples=150)
+    @given(_pairs_with_fixed_points())
+    def test_random_pairs_up_to_40(self, pair):
+        sh, mu = pair
+        assert ch.mn_value(sh, mu) == orc.reference_mn(sh, mu, {})
 
 
 class TestDimension:
@@ -142,6 +178,27 @@ class TestTable:
                         Fraction(x * y, z) for x, y, z in zip(ra, rb, zs)
                     )
                     assert got == (1 if a == b else 0)
+
+    def test_matches_oracle_tables(self):
+        for n in range(1, 8):
+            want = orc.oracle_character_table(n)
+            tbl = ch.character_table(n)
+            got = {
+                sh: dict(zip(tbl.classes, row))
+                for sh, row in zip(tbl.characters, tbl.values)
+            }
+            assert got == want
+
+    @pytest.mark.parametrize("n", [9, 14])
+    def test_conjugate_fill_matches_reference(self, n):
+        labels = pt.enumerate_partitions(n)
+        assert any(pt.conjugate(sh) == sh for sh in labels)
+        memo = {}
+        want = tuple(
+            tuple(orc.reference_mn(sh, mu, memo) for mu in labels)
+            for sh in labels
+        )
+        assert ch.character_table(n).values == want
 
     def test_cap(self):
         with pytest.raises(pt.CapExceededError):
