@@ -4,7 +4,7 @@ series: exact P_n (where the full table is feasible), Q_n, R_n, and the
 lower bound, for a configurable threshold constant.
 
 Example:
-    python3 scripts/bound_sweep.py --n-min 5 --n-max 30 --exact-max 20
+    python3 scripts/bound_sweep.py --n-min 5 --n-max 500 --exact-max 20
 """
 
 import argparse

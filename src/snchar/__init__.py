@@ -25,8 +25,6 @@ from .vanishing import (
     limit_cdf,
     long_cycle_frequency,
     montecarlo_pzero,
-    omega_set,
-    q_of_omega,
 )
 from .table_stats import TableStats, stats_series, table_stats
 from .groups import (
@@ -68,10 +66,8 @@ __all__ = [
     "long_cycle_frequency",
     "mn_value",
     "montecarlo_pzero",
-    "omega_set",
     "partition_count",
     "proposition_bound",
-    "q_of_omega",
     "random_cycle_type",
     "rank",
     "stats_series",

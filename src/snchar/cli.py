@@ -10,6 +10,7 @@ report embeds the resolved run configuration.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -47,6 +48,24 @@ class RunConfig:
 def _fmt_frac(x: Fraction) -> str:
     """Human form: exact fraction plus 15-significant-digit decimal."""
     return f"{x} ({float(x):.15g})"
+
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's limit on int-to-str digits (4300 by default)
+    while a report is formatted: exact reports print integers of any length,
+    and n! alone has 35,660 digits at n = 10,000. Pythons before 3.10.7 have
+    no such limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -387,7 +406,8 @@ def run(argv=None) -> int:
             # --help lands here with code 0
             return int(e.code or 0)
         cfg = _config_from_args(args)
-        text = _COMMANDS[cfg.subcommand](cfg)
+        with _unlimited_int_digits():
+            text = _COMMANDS[cfg.subcommand](cfg)
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

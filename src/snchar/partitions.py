@@ -172,22 +172,6 @@ def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
     return out
 
 
-def bounded_partitions(n: int, max_part: int):
-    """Yield partitions of n with all parts <= max_part, canonical order.
-
-    Generator; callers wanting the unrestricted list should use
-    enumerate_partitions, which is cap-guarded.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for tail in bounded_partitions(n - first, first):
-            yield (first,) + tail
-
-
 def rank(parts) -> int:
     """Canonical rank of a partition among partitions of its own size."""
     t = as_partition(parts)

@@ -13,7 +13,9 @@ holds exactly for every choice of Omega, because a character column
 orthogonality argument pins zeros inside the Omega classes. The default
 Omega takes first part at least c*sqrt(n)*(log n + f(n)) with
 c = sqrt(6)/(2*pi) (the scale at which the largest part of a random
-partition concentrates) and f(n) = log n.
+partition concentrates) and f(n) = log n. Neither Q_n nor |Omega| needs
+Omega itself: Q_n follows from the longest-cycle recurrence and |Omega|
+from counting partitions with all parts below the threshold.
 
 Also here: the cycle-count limit law experiment (the number of cycles m
 of a uniform permutation, normalized as (m - log n)/sqrt(2 log n), tends
@@ -22,6 +24,7 @@ estimate. Logs are natural throughout.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +32,6 @@ from . import characters as ch
 from . import partitions as pt
 from . import sampling as sp
 from .groups import rational_json
-from .partitions import Partition
 from .sampling import SampleSummary
 
 DEFAULT_C = math.sqrt(6.0) / (2.0 * math.pi)
@@ -73,48 +75,41 @@ class OmegaSpec:
         return math.ceil(t)
 
 
-def omega_set(n: int, spec: OmegaSpec, cap: int | None = None) -> list[Partition]:
-    """Partitions of n in Omega, canonical order.
-
-    Only Omega itself is materialized (first part runs downward from n to
-    the threshold, tails enumerated with bounded largest part), but the
-    p_n-within-cap precondition is still enforced.
-    """
-    limit = pt.enumeration_cap(cap)
-    total = pt.partition_count(n)
-    if total > limit:
-        raise pt.CapExceededError(f"p_{n} = {total} exceeds enumeration cap {limit}")
-    t = spec.min_first_part(n)
-    out = []
-    for k in range(n, max(t, 1) - 1, -1):
-        for tail in pt.bounded_partitions(n - k, k):
-            out.append((k,) + tail)
-    return out
-
-
 def omega_count(n: int, spec: OmegaSpec) -> int:
-    """|Omega| without enumeration: p_n minus partitions with small first part."""
+    """|Omega| without enumeration: p_n minus the partitions with all parts
+    below the threshold t, counted by the rolling coin-change sum over part
+    sizes 1..t-1.
+    """
+    t = spec.min_first_part(n)
+    below = [1] + [0] * n
+    for k in range(1, min(t - 1, n) + 1):
+        for m in range(k, n + 1):
+            below[m] += below[m - k]
+    return pt.partition_count(n) - below[n]
+
+
+def omega_probability(n: int, spec: OmegaSpec) -> Fraction:
+    """Q_n without enumeration: 1 minus the probability that a uniform
+    permutation of S_n has every cycle shorter than the threshold t.
+
+    Longest-cycle recurrence (Shepp-Lloyd): with e_0 = n!,
+    m*e_m = e_{m-1} + ... + e_{m-t+1}, terms of negative index absent.
+    e_m/n! is that probability for S_m, so every division is exact. The
+    right-hand sum slides with m, and only its t - 1 terms are stored.
+    """
     t = spec.min_first_part(n)
     if t <= 1:
-        return pt.partition_count(n)
-    return pt.partition_count(n) - pt.count_with_max_part(n, t - 1)
-
-
-def q_of_omega(n: int, omega) -> Fraction:
-    """Probability that a uniform permutation's cycle type lies in omega:
-    sum of 1/z over the distinct members. All members must partition n.
-    """
-    total = Fraction(0)
-    seen = set()
-    for lam in omega:
-        lam = pt.as_partition(lam)
-        if sum(lam) != n:
-            raise ValueError(f"{lam} does not partition {n}")
-        if lam in seen:
-            continue
-        seen.add(lam)
-        total += Fraction(1, pt.centralizer_order(lam))
-    return total
+        return Fraction(1)
+    total = math.factorial(n)
+    window = deque([total], maxlen=t - 1)
+    s = total
+    for m in range(1, n + 1):
+        e = s // m
+        if len(window) == window.maxlen:
+            s -= window[0]
+        window.append(e)
+        s += e
+    return 1 - Fraction(window[-1], total)
 
 
 def exact_pzero(n: int, cap: int | None = None) -> Fraction:
@@ -162,10 +157,11 @@ def lemma_bound(
 ) -> BoundReport:
     """Assemble the bound report for n >= 2.
 
-    With compute_exact, also evaluates P_n and asserts the sandwich
-    1 >= P_n >= Q_n - R_n in exact arithmetic; a violation would be an
-    implementation bug, not a data condition. The table cap is then
-    checked before Omega is enumerated.
+    Q_n and |Omega| come from omega_probability and omega_count, which
+    enumerate nothing, so without compute_exact no cap applies. With
+    compute_exact, also evaluates P_n (the table cap is checked first) and
+    asserts the sandwich 1 >= P_n >= Q_n - R_n in exact arithmetic; a
+    violation would be an implementation bug, not a data condition.
     """
     if n < 2:
         raise ValueError("bound reports need n >= 2")
@@ -173,10 +169,10 @@ def lemma_bound(
         spec = OmegaSpec()
     if compute_exact:
         ch.check_table_cap(n, cap)
-    omega = omega_set(n, spec, cap)
     pn = pt.partition_count(n)
-    q = q_of_omega(n, omega)
-    r = Fraction(len(omega), pn)
+    count = omega_count(n, spec)
+    q = omega_probability(n, spec)
+    r = Fraction(count, pn)
     lower = q - r
     exact = exact_pzero(n, cap) if compute_exact else None
     if exact is not None and not (1 >= exact >= lower):
@@ -184,7 +180,7 @@ def lemma_bound(
             f"bound violated at n={n}: P={exact}, Q-R={lower}; implementation bug"
         )
     return BoundReport(
-        n=n, p_n=pn, omega_count=len(omega),
+        n=n, p_n=pn, omega_count=count,
         q_n=q, r_n=r, lower_bound=lower, exact_p=exact,
     )
 

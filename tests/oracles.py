@@ -6,15 +6,23 @@ products, not strip removal; class data comes from enumerating actual
 permutations; tableau counts come from corner-removal recursion, not hook
 products. Feasible for small n only.
 
-The one exception is reference_mn, the package's former strip-removal
-kernel on sorted beta lists, kept verbatim as the reference for the
-bead-mask kernel that replaced it.
+Two exceptions are former package code, kept verbatim as the reference
+for the fast path that replaced it:
+
+- reference_mn, the strip-removal kernel on sorted beta lists, for the
+  bead-mask kernel;
+- omega_set and q_of_omega (with their bounded_partitions generator), the
+  enumeration of Omega and the sum of 1/z over it, for the closed-form Q_n
+  and |Omega| of lemma_bound. They use the package's cap, partition count
+  and centralizer order, none of which the closed form touches.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from snchar import partitions as pt
 
 
 # -- permutations and classes --------------------------------------------------
@@ -212,6 +220,60 @@ def reference_mn(shape: tuple, mu: tuple, memo: dict) -> int:
         del pending[key]
         stack.pop()
     return memo[root]
+
+
+# -- Omega by enumeration -------------------------------------------------------
+
+def bounded_partitions(n: int, max_part: int):
+    """Yield partitions of n with all parts <= max_part, canonical order.
+
+    Generator; callers wanting the unrestricted list should use
+    enumerate_partitions, which is cap-guarded.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for tail in bounded_partitions(n - first, first):
+            yield (first,) + tail
+
+
+def omega_set(n: int, spec, cap: int | None = None) -> list[tuple]:
+    """Partitions of n in Omega, canonical order.
+
+    Only Omega itself is materialized (first part runs downward from n to
+    the threshold, tails enumerated with bounded largest part), but the
+    p_n-within-cap precondition is still enforced.
+    """
+    limit = pt.enumeration_cap(cap)
+    total = pt.partition_count(n)
+    if total > limit:
+        raise pt.CapExceededError(f"p_{n} = {total} exceeds enumeration cap {limit}")
+    t = spec.min_first_part(n)
+    out = []
+    for k in range(n, max(t, 1) - 1, -1):
+        for tail in bounded_partitions(n - k, k):
+            out.append((k,) + tail)
+    return out
+
+
+def q_of_omega(n: int, omega) -> Fraction:
+    """Probability that a uniform permutation's cycle type lies in omega:
+    sum of 1/z over the distinct members. All members must partition n.
+    """
+    total = Fraction(0)
+    seen = set()
+    for lam in omega:
+        lam = pt.as_partition(lam)
+        if sum(lam) != n:
+            raise ValueError(f"{lam} does not partition {n}")
+        if lam in seen:
+            continue
+        seen.add(lam)
+        total += Fraction(1, pt.centralizer_order(lam))
+    return total
 
 
 # -- tableau counting -----------------------------------------------------------

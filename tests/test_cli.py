@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from snchar import cli
 from snchar import sampling as sp
+from snchar import vanishing as vn
 from snchar.table_stats import series_csv, stats_series
 
 
@@ -55,6 +57,10 @@ class TestExitCodes:
         assert "p_n^2 = 1764" in captured.err
         assert captured.out == ""
 
+    def test_bound_without_exact_needs_no_cap(self, capsys):
+        # p_300 = 9253082936723602 is far above the cap; nothing is enumerated
+        assert cli.run(["bound", "300", "--no-exact", "--cap", "10"]) == 0
+
     def test_help(self, capsys):
         assert cli.run(["--help"]) == 0
 
@@ -63,6 +69,17 @@ class TestExitCodes:
 
 
 class TestReports:
+    def test_bound_prints_integers_past_the_digit_limit(self, capsys):
+        # at n = 4000 the lower bound's denominator has 4586 digits, past
+        # the interpreter's default int-to-str limit of 4300
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        out = run_ok(capsys, "bound", "4000", "--no-exact")
+        line = next(l for l in out.splitlines() if l.startswith("lower bound"))
+        frac, dec = line.split(" = ")[1].split()
+        assert len(frac.split("/")[1]) > 4300
+        assert dec == f"({float(vn.lemma_bound(4000).lower_bound):.15g})"
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
     def test_pzero_text(self, capsys):
         out = run_ok(capsys, "pzero", "3")
         assert "1/6" in out

@@ -97,7 +97,7 @@ class TestEnumeration:
             full = pt.enumerate_partitions(n)
             for k in range(0, n + 1):
                 want = [lam for lam in full if not lam or lam[0] <= k]
-                assert list(pt.bounded_partitions(n, k)) == want
+                assert list(orc.bounded_partitions(n, k)) == want
 
 
 class TestRanking:

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles as orc
 from snchar import partitions as pt
@@ -34,6 +34,12 @@ def omega_specs():
         f_const=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
         strict=st.booleans(),
     )
+
+
+# The two edges of the threshold t for every n in 2..30: t = 1 (Omega is
+# every partition) and t > n (Omega is empty).
+T_ONE = vn.OmegaSpec(c=0.05, f_mode="const")
+T_PAST_N = vn.OmegaSpec(c=3.0)
 
 
 class TestOmegaSpec:
@@ -75,51 +81,98 @@ class TestOmegaSpec:
 
 class TestOmegaSet:
     def test_huge_c_empty(self):
-        assert vn.omega_set(5, vn.OmegaSpec(c=10.0)) == []
+        assert orc.omega_set(5, vn.OmegaSpec(c=10.0)) == []
 
     def test_tiny_c_everything(self):
-        got = vn.omega_set(5, vn.OmegaSpec(c=1e-12))
+        got = orc.omega_set(5, vn.OmegaSpec(c=1e-12))
         assert got == pt.enumerate_partitions(5)
         assert len(got) == 7
 
     def test_default_n20_matches_enumeration_filter(self):
-        got = vn.omega_set(20, vn.OmegaSpec(c=0.39))
+        got = orc.omega_set(20, vn.OmegaSpec(c=0.39))
         want = [l for l in pt.enumerate_partitions(20) if l[0] >= 11]
         assert got == want
 
     def test_cap(self):
         with pytest.raises(pt.CapExceededError):
-            vn.omega_set(60, vn.OmegaSpec(), cap=10)
+            orc.omega_set(60, vn.OmegaSpec(), cap=10)
 
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
-            vn.omega_set(1, vn.OmegaSpec())
+            orc.omega_set(1, vn.OmegaSpec())
 
     @given(st.integers(min_value=2, max_value=24), omega_specs())
     def test_matches_filter_for_any_spec(self, n, spec):
         t = spec.min_first_part(n)
         want = [l for l in pt.enumerate_partitions(n) if l[0] >= t]
-        assert vn.omega_set(n, spec) == want
+        assert orc.omega_set(n, spec) == want
         assert vn.omega_count(n, spec) == len(want)
 
 
 class TestQOfOmega:
     def test_everything_sums_to_one(self):
         for n in range(2, 31, 7):
-            assert vn.q_of_omega(n, pt.enumerate_partitions(n)) == 1
+            assert orc.q_of_omega(n, pt.enumerate_partitions(n)) == 1
 
     def test_empty(self):
-        assert vn.q_of_omega(5, []) == 0
+        assert orc.q_of_omega(5, []) == 0
 
     def test_single_class(self):
-        assert vn.q_of_omega(3, [(3,)]) == Fraction(1, 3)
+        assert orc.q_of_omega(3, [(3,)]) == Fraction(1, 3)
 
     def test_duplicates_ignored(self):
-        assert vn.q_of_omega(3, [(3,), (3,)]) == Fraction(1, 3)
+        assert orc.q_of_omega(3, [(3,), (3,)]) == Fraction(1, 3)
 
     def test_wrong_n_rejected(self):
         with pytest.raises(ValueError):
-            vn.q_of_omega(4, [(3,)])
+            orc.q_of_omega(4, [(3,)])
+
+
+class TestClosedForm:
+    """lemma_bound's Q_n (longest-cycle recurrence) and |Omega| (counting)
+    against the enumeration oracle, exactly.
+    """
+
+    @staticmethod
+    def check(n, spec):
+        rep = vn.lemma_bound(n, spec)
+        omega = orc.omega_set(n, spec)
+        assert rep.q_n == orc.q_of_omega(n, omega)
+        assert rep.omega_count == len(omega)
+
+    def test_default_spec_up_to_40(self):
+        for n in range(2, 41):
+            self.check(n, vn.OmegaSpec())
+
+    @pytest.mark.parametrize("n", [50, 60])
+    def test_default_spec_large_n(self, n):
+        self.check(n, vn.OmegaSpec())
+
+    @given(st.integers(min_value=2, max_value=30), omega_specs())
+    @example(2, T_ONE)
+    @example(30, T_ONE)
+    @example(2, T_PAST_N)
+    @example(30, T_PAST_N)
+    def test_any_spec(self, n, spec):
+        self.check(n, spec)
+
+    def test_threshold_edges(self):
+        for n in range(2, 31):
+            assert T_ONE.min_first_part(n) == 1
+            rep = vn.lemma_bound(n, T_ONE)
+            assert rep.q_n == 1 and rep.omega_count == rep.p_n
+            assert T_PAST_N.min_first_part(n) > n
+            rep = vn.lemma_bound(n, T_PAST_N)
+            assert rep.q_n == 0 and rep.omega_count == 0
+
+    def test_no_cap_without_exact(self, monkeypatch):
+        # p_2000 is about 4.7e45: the bound enumerates nothing, so a cap
+        # of 10 does not apply unless the exact table is asked for
+        monkeypatch.setenv(pt.CAP_ENV_VAR, "10")
+        rep = vn.lemma_bound(2000)
+        assert 0.98 < rep.lower_bound < 1
+        with pytest.raises(pt.CapExceededError):
+            vn.lemma_bound(5, compute_exact=True)
 
 
 class TestExactPzero:
