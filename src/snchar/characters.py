@@ -1,53 +1,71 @@
 """Irreducible characters of symmetric groups, evaluated exactly.
 
-Single values come from the recursive border-strip expansion: removing a
-strip of size t from shape lambda for the largest remaining part t of the
-cycle type mu, with the sign determined by the strip height, and summing
-over all legal removals. A shape is held as a bead mask (the James-Kerber
-abacus): shape (l_1 >= ... >= l_m) is the int with bits beta_i =
-l_i + m - 1 - i set. A strip of size t is removable at bead b exactly when
-b >= t and bit b - t is clear, and removing it moves the bead from b to
-b - t; the strip height is the number of beads strictly between. Trailing
-zero parts are the trailing one bits of the mask, so a mask is normalised
-by shifting them out, and equal shapes always meet as equal ints.
+A shape is held as a bead mask (the James-Kerber abacus): shape
+(l_1 >= ... >= l_m) is the int with bits beta_i = l_i + m - 1 - i set. A
+strip of size t is removable at bead b exactly when b >= t and bit b - t is
+clear; removing it moves the bead to b - t, with sign (-1) to the number of
+beads strictly between. A mask is normalised by shifting out its trailing
+one bits (zero parts), so equal shapes meet as equal ints. _strips is this
+move, and both evaluators use it.
 
-A table evaluates only one shape of each conjugate pair and fills the other
-from chi^{lambda'}(mu) = sgn(mu) chi^lambda(mu), with sgn(mu) =
-(-1)^(n - len(mu)).
+_mn gives single values: one strip per part of mu, summed with signs.
+Whole columns read Murnaghan-Nakayama as p_t s_nu = sum of +-s_lambda over
+the t-strips added to nu (Macdonald, Symmetric Functions, ch. I): the
+column chi^.(t, nu) is a sparse signed operator A_(|nu|,t) applied to the
+column chi^.(nu). class_columns walks the cycle types depth first as a trie
+of suffixes from the root () with column [1]; a child of nu prepends a part
+t >= nu_1 whose remainder parts >= t can still fill. Only the vectors on the
+current path are alive, and each operator is built when first reached.
 
 Everything is exact integer arithmetic; there is no floating point here.
 """
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 from math import factorial
+from operator import itemgetter, neg, sub
 
 from . import partitions as pt
 from .partitions import Partition, CapExceededError
 
 _Key = tuple[int, Partition]  # (bead mask, remaining mu suffix)
 _Memo = dict[_Key, int]
+_Op = Callable[[list[int]], list[int]]  # a strip operator A_(m,t)
+
+
+def _beads(shape: Partition) -> int:
+    """Bead mask of a shape; parts are positive, so it is normalised."""
+    m = len(shape)
+    return sum(1 << (part + m - 1 - i) for i, part in enumerate(shape))
+
+
+def _strips(beads: int, t: int) -> list[tuple[int, int]]:
+    """(normalised mask, sign) of each t-strip removal from beads."""
+    between = (1 << (t - 1)) - 1
+    movable = beads & ~(beads << t) & ~((1 << t) - 1)
+    out = []
+    while movable:
+        bit = movable & -movable
+        movable ^= bit
+        moved = beads ^ bit ^ (bit >> t)
+        moved >>= (~moved & (moved + 1)).bit_length() - 1
+        odd = ((beads >> (bit.bit_length() - t)) & between).bit_count() & 1
+        out.append((moved, -1 if odd else 1))
+    return out
 
 
 def _mn(shape: Partition, mu: Partition, memo: _Memo) -> int:
     """Character value chi^shape(mu) by iterative strip removal.
 
-    shape is turned into its bead mask, and memo is keyed by (normalised
-    bead mask, remaining mu suffix), so one memo serves every column of a
-    table and every single value of a run. The movable beads for part t
-    are beads & ~(beads << t) & ~((1 << t) - 1), a move is
-    beads ^ (1 << b) ^ (1 << (b - t)), and its sign is the parity of the
-    t - 1 bits above b - t.
+    memo is keyed by (normalised bead mask, remaining mu suffix), so a
+    caller that evaluates many values (Monte Carlo) passes one memo for
+    all of them.
     Uses an explicit work stack: recursion depth grows with len(mu),
     which can exceed the interpreter limit for cycle types with many
     fixed points at large n.
     """
-    # parts are positive, so bit 0 is clear and the root mask is normalised
-    m = len(shape)
-    beads = 0
-    for i, part in enumerate(shape):
-        beads |= 1 << (part + m - 1 - i)
-    root = (beads, mu)
+    root = (_beads(shape), mu)
     stack = [root]
     # pending[key] holds the signed child keys once they are scheduled
     pending: dict[_Key, list[tuple[_Key, int]]] = {}
@@ -63,18 +81,8 @@ def _mn(shape: Partition, mu: Partition, memo: _Memo) -> int:
             continue
         children = pending.pop(key, None)
         if children is None:
-            t, tail = rest[0], rest[1:]
-            between = (1 << (t - 1)) - 1
-            movable = beads & ~(beads << t) & ~((1 << t) - 1)
-            children = []
-            while movable:
-                bit = movable & -movable
-                movable ^= bit
-                b = bit.bit_length() - 1
-                moved = beads ^ bit ^ (bit >> t)
-                moved >>= (~moved & (moved + 1)).bit_length() - 1
-                odd = ((beads >> (b - t + 1)) & between).bit_count() & 1
-                children.append(((moved, tail), -1 if odd else 1))
+            tail = rest[1:]
+            children = [((moved, tail), sign) for moved, sign in _strips(beads, rest[0])]
             missing = [ck for ck, _ in children if ck not in memo]
             if missing:
                 pending[key] = children
@@ -170,32 +178,65 @@ def check_table_cap(n: int, cap: int | None = None) -> None:
         )
 
 
-def table_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, list[int]]]:
-    """Yield (mu, column) for every class mu of S_n in canonical order.
+def _operator(sources: list[Partition], targets: list[Partition], t: int) -> _Op:
+    """A_(m,t) from the shapes of m to those of m + t, as a function.
 
-    column[i] is the value at mu of the i-th shape in canonical order. Only
-    the first shape of each conjugate pair (and each self-conjugate shape)
-    is evaluated; its partner is sgn(mu) times that value. One memo serves
-    all columns; a reader that consumes the stream column by
-    column never holds the p_n^2 table. The cap is checked on the first
-    next(), before any value is computed.
+    A row lists its signed sources as indices into vec + -vec + [0]; the
+    trailing sentinel 0 keeps itemgetter returning a tuple for one index.
+    Row sums are differences of one running sum taken at the row ends.
+    """
+    rank = {_beads(sh): r for r, sh in enumerate(sources)}
+    shift = len(sources)
+    flat: list[int] = []
+    ends = [0]
+    for sh in targets:
+        flat.extend(rank[b] if sign > 0 else rank[b] + shift
+                    for b, sign in _strips(_beads(sh), t))
+        ends.append(len(flat))
+    gather = itemgetter(*flat, 2 * shift)
+    at_ends = itemgetter(*ends)  # p_(m+t) + 1 >= 2 indices: always a tuple
+
+    def apply(vec: list[int]) -> list[int]:
+        run = at_ends(list(accumulate(gather([*vec, *map(neg, vec), 0]), initial=0)))
+        return list(map(sub, run[1:], run))
+    return apply
+
+
+def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, list[int]]]:
+    """Yield (mu, column) once for every class mu of S_n, in trie order.
+
+    column[i] is the value at mu of the i-th shape in canonical order. The
+    cap is checked on the first next(), before any value is computed.
     """
     if n < 1:
         raise ValueError("n must be positive")
     check_table_cap(n, cap)
-    labels = pt.enumerate_partitions(n, cap)
-    index = {sh: i for i, sh in enumerate(labels)}
-    conj = [index[pt.conjugate(sh)] for sh in labels]
-    memo: _Memo = {}
-    for mu in labels:
-        sign = -1 if (n - len(mu)) % 2 else 1
-        column = [0] * len(labels)
-        for i, sh in enumerate(labels):
-            if i <= conj[i]:
-                value = _mn(sh, mu, memo)
-                column[i] = value
-                column[conj[i]] = sign * value
-        yield mu, column
+    shapes = [pt.enumerate_partitions(m, cap) for m in range(n + 1)]
+    ops: dict[tuple[int, int], _Op] = {}
+    # Entries are (t, nu, |nu|, chi^.(nu)); the child (t,) + nu is computed
+    # when popped. A child takes t = rest or t <= rest // 2, so its own rest
+    # is 0 or at least t, and the single part rest can always close it.
+    stack = [(n, (), 0, [1])] + [(t, (), 0, [1]) for t in range(n // 2, 0, -1)]
+    while stack:
+        t, nu, s, vec = stack.pop()
+        apply = ops.get((s, t))
+        if apply is None:
+            apply = ops[s, t] = _operator(shapes[s], shapes[s + t], t)
+        nu, s, vec = (t,) + nu, s + t, apply(vec)
+        rest = n - s
+        if not rest:
+            yield nu, vec
+            continue
+        stack.append((rest, nu, s, vec))
+        stack.extend((u, nu, s, vec) for u in range(rest // 2, t - 1, -1))
+
+
+def table_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, list[int]]]:
+    """class_columns buffered into canonical order, so all p_n^2 values
+    are held at once."""
+    columns = dict(class_columns(n, cap))
+    for mu in pt.enumerate_partitions(n, cap):
+        yield mu, columns.pop(mu)
 
 
 def character_table(n: int, cap: int | None = None) -> CharacterTable:

@@ -8,8 +8,7 @@ tuple is the unique partition of 0. The canonical order used everywhere
 so (n) comes first and (1,...,1) last.
 
 All counts use Python's arbitrary-precision ints. Internal memo tables are
-plain dicts of pure results: concurrent callers may recompute an entry but
-always observe either absence or the final value.
+plain dicts of pure results.
 """
 
 import os

@@ -46,7 +46,7 @@ def table_stats(n: int, cap: int | None = None) -> TableStats:
     column at a time.
     """
     zeros = positives = negatives = 0
-    for _, col in ch.table_columns(n, cap):
+    for _, col in ch.class_columns(n, cap):
         zeros += col.count(0)
         positives += sum(1 for v in col if v > 0)
         negatives += sum(1 for v in col if v < 0)

@@ -115,7 +115,7 @@ def omega_probability(n: int, spec: OmegaSpec) -> Fraction:
 def exact_pzero(n: int, cap: int | None = None) -> Fraction:
     """P_n exactly: (1/p_n) * sum over classes mu of (zeros in column mu)/z_mu."""
     total = Fraction(0)
-    for mu, col in ch.table_columns(n, cap):
+    for mu, col in ch.class_columns(n, cap):
         zeros = col.count(0)
         if zeros:
             total += Fraction(zeros, pt.centralizer_order(mu))

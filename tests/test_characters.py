@@ -252,3 +252,32 @@ class TestColumnStream:
             assert s.zero_entries == sum(1 for v in entries if v == 0)
             assert s.positive_entries == sum(1 for v in entries if v > 0)
             assert s.negative_entries == sum(1 for v in entries if v < 0)
+
+
+class TestClassColumns:
+    """The trie walk of sparse strip operators, in its own (depth-first) order."""
+
+    def test_matches_reference_up_to_14(self):
+        for n in range(1, 15):
+            labels = pt.enumerate_partitions(n)
+            memo = {}
+            want = {
+                mu: [orc.reference_mn(sh, mu, memo) for sh in labels]
+                for mu in labels
+            }
+            assert dict(ch.class_columns(n)) == want, n
+
+    def test_each_class_once_up_to_20(self):
+        for n in range(1, 21):
+            classes = [mu for mu, _ in ch.class_columns(n)]
+            assert len(classes) == pt.partition_count(n)
+            assert set(classes) == set(pt.enumerate_partitions(n))
+
+    def test_column_norms_at_20(self):
+        for mu, col in ch.class_columns(20):
+            assert sum(v * v for v in col) == pt.centralizer_order(mu), mu
+
+    def test_cap_before_any_value(self):
+        stream = ch.class_columns(10, cap=100)
+        with pytest.raises(pt.CapExceededError, match=r"p_n\^2 = 1764"):
+            next(stream)

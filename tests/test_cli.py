@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import snchar
 from snchar import cli
 from snchar import sampling as sp
 from snchar import vanishing as vn
@@ -216,3 +219,28 @@ class TestDeterminism:
         b = run_ok(capsys, "mc-pzero", "5", "--samples", "800",
                    "--seed", "2", "--format", "json")
         assert a != b
+
+
+_NO_NUMPY = """
+import sys
+from snchar import cli
+for argv in (["pzero", "12"], ["table", "8", "--format", "csv"], ["bound", "12"],
+             ["export-group", "8", "--output", sys.argv[1]]):
+    if cli.run(argv) != 0:
+        sys.exit(f"{argv} failed")
+if "numpy" in sys.modules:
+    sys.exit("numpy was imported")
+"""
+
+
+def test_table_commands_import_no_numpy(tmp_path):
+    # numpy would add about 12 MiB to the peak RSS of every small table process
+    src = os.path.dirname(os.path.dirname(snchar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SNCHAR_CAP", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, str(tmp_path / "s8.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "s8.json").exists()

@@ -191,6 +191,11 @@ class TestExactPzero:
         with pytest.raises(ValueError):
             vn.exact_pzero(0)
 
+    def test_n24(self):
+        assert vn.exact_pzero(24) == Fraction(
+            15417436616696634048941119, 18792427552497156096000000
+        )
+
 
 class TestLemmaBound:
     def test_vacuous_omega(self):
