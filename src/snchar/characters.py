@@ -141,7 +141,8 @@ class CharacterTable:
     values: tuple[tuple[int, ...], ...]
 
     def value(self, shape, mu) -> int:
-        return self.values[pt.rank(shape)][pt.rank(mu)]
+        rows = pt.count_rows(self.n)
+        return self.values[pt.rank(shape, rows)][pt.rank(mu, rows)]
 
     def to_csv(self) -> str:
         """CSV text: header row of class labels, then one row per character

@@ -7,12 +7,15 @@ tuple is the unique partition of 0. The canonical order used everywhere
 (table axes, ranking) is descending lexicographic on the part sequence,
 so (n) comes first and (1,...,1) last.
 
-All counts use Python's arbitrary-precision ints. Internal memo tables are
-plain dicts of pure results.
+All counts use Python's arbitrary-precision ints. The only memo is
+_pn_cache, the partition counts; the ranking table of count_rows is built
+per call and owned by the caller.
 """
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 Partition = tuple[int, ...]
@@ -84,52 +87,24 @@ def partition_count(n: int) -> int:
     return _pn_cache[n]
 
 
-_le_cache: dict[tuple[int, int], int] = {}
+def count_rows(n: int) -> list[list[int]]:
+    """Counting table for ranking: rows[m][k] is the number of partitions
+    of m with every part <= k, for 0 <= k <= m <= n.
 
-def count_with_max_part(n: int, k: int) -> int:
-    """Number of partitions of n whose parts are all <= k.
-
-    Bounded-largest-part recurrence c(n,k) = c(n,k-1) + c(n-k,k),
-    evaluated with an explicit stack so deep (n,k) pairs don't hit the
-    interpreter recursion limit. Independent of partition_count's
-    pentagonal recurrence, which it cross-checks in tests.
+    Built row by row from c(m, k) = c(m, k-1) + c(m-k, min(k, m-k)), a
+    recurrence independent of partition_count's pentagonal one (rows[n][n]
+    is p_n). O(n^2) ints, owned by the caller.
     """
-    if n < 0:
-        return 0
-    k = min(k, n)
-    if n == 0:
-        return 1
-    if k <= 0:
-        return 0
-    root = (n, k)
-    cache = _le_cache
-    stack = [root]
-    while stack:
-        m, j = key = stack[-1]
-        if key in cache:
-            stack.pop()
-            continue
-        if j <= 1:
-            cache[key] = 1 if j == 1 else 0
-            stack.pop()
-            continue
-        rest = m - j
-        a = (m, j - 1)
-        b = (rest, min(j, rest))
-        if rest == 0:
-            vb = 1
-        else:
-            vb = cache.get(b)
-        va = cache.get(a)
-        if va is None or vb is None:
-            if va is None:
-                stack.append(a)
-            if vb is None:
-                stack.append(b)
-            continue
-        cache[key] = va + vb
-        stack.pop()
-    return cache[root]
+    rows, corners = [[1]], [1]
+    for m in range(1, n + 1):
+        h = m // 2
+        # a first part k > m - k leaves any partition of m - k: p_{m-k}
+        rows.append(list(accumulate(
+            [rows[m - k][k] for k in range(1, h + 1)] + corners[m - h - 1::-1],
+            initial=0,
+        )))
+        corners.append(rows[m][m])
+    return rows
 
 
 # -- enumeration and ranking -------------------------------------------------
@@ -171,38 +146,49 @@ def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
     return out
 
 
-def rank(parts) -> int:
-    """Canonical rank of a partition among partitions of its own size."""
+def rank(parts, rows: list[list[int]] | None = None) -> int:
+    """Canonical rank of a partition among partitions of its own size.
+
+    rows is count_rows(m) for some m >= sum(parts); built when omitted.
+    """
     t = as_partition(parts)
+    remaining = bound = sum(t)
+    if rows is None:
+        rows = count_rows(remaining)
     r = 0
-    remaining = sum(t)
-    bound = remaining
     for a in t:
-        for k in range(min(remaining, bound), a, -1):
-            r += count_with_max_part(remaining - k, k)
+        # partitions of `remaining` ranked before t here: first part in (a, b]
+        row = rows[remaining]
+        r += row[min(remaining, bound)] - row[a]
         bound = a
         remaining -= a
     return r
 
 
-def unrank(n: int, r: int) -> Partition:
-    """Partition of n at canonical rank r; inverse of rank()."""
+def unrank(n: int, r: int, rows: list[list[int]] | None = None) -> Partition:
+    """Partition of n at canonical rank r; inverse of rank().
+
+    Each part is one bisect in a row of count_rows. rows is count_rows(m)
+    for some m >= n; it costs O(n^2) to build, so pass it when unranking
+    in a loop.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= r < partition_count(n):
         raise ValueError(f"rank {r} out of bounds for n={n} (p_n={partition_count(n)})")
+    if rows is None:
+        rows = count_rows(n)
     parts = []
-    remaining = n
-    bound = n
+    remaining = bound = n
     while remaining:
-        for k in range(min(remaining, bound), 0, -1):
-            c = count_with_max_part(remaining - k, k)
-            if r < c:
-                parts.append(k)
-                bound = k
-                remaining -= k
-                break
-            r -= c
+        # row[b] - row[k] partitions of `remaining` have first part in (k, b]
+        row = rows[remaining]
+        b = bound if bound < remaining else remaining
+        k = bisect_left(row, row[b] - r, 1, b + 1)
+        r -= row[b] - row[k]
+        parts.append(k)
+        bound = k
+        remaining -= k
     return tuple(parts)
 
 

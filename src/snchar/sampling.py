@@ -13,7 +13,8 @@ Two samplers:
   on {1..r} where r cells remain. The resulting distribution on partitions
   is exactly 1/z_lambda.
 * uniform_partition draws a partition of n uniformly among all p_n of
-  them, by rejection-sampling an integer rank below p_n and unranking.
+  them, by rejection-sampling an integer rank below p_n and unranking it
+  with one bisect per part in a pt.count_rows table.
 """
 
 from __future__ import annotations
@@ -98,12 +99,16 @@ def random_cycle_type(n: int, rng: np.random.Generator) -> Partition:
     return tuple(parts)
 
 
-def uniform_partition(n: int, rng: np.random.Generator) -> Partition:
-    """Uniform partition of n (each of the p_n partitions equally likely)."""
+def uniform_partition(n: int, rng: np.random.Generator,
+                      rows: list[list[int]] | None = None) -> Partition:
+    """Uniform partition of n (each of the p_n partitions equally likely).
+
+    rows is pt.count_rows(m) for some m >= n; pass it when drawing in a loop.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     r = uniform_below(pt.partition_count(n), rng)
-    return pt.unrank(n, r)
+    return pt.unrank(n, r, rows)
 
 
 @dataclass(frozen=True)

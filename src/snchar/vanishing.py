@@ -189,7 +189,7 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> Sampl
     """Estimate P_n by sampling: chi uniform over partitions (unranked
     uniform rank), g by random cycle type, value by single-shot character
     evaluation. Character results are pure, so one write-once memo is kept
-    for the whole run.
+    for the whole run, and so is the ranking table that unranks the draws.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -197,10 +197,11 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> Sampl
         raise ValueError("samples must be >= 1")
     zeros = 0
     memo: dict = {}
+    rows = pt.count_rows(n)
     for block, count in sp.block_plan(samples):
         rng = sp.substream(seed, block)
         for _ in range(count):
-            shape = sp.uniform_partition(n, rng)
+            shape = sp.uniform_partition(n, rng, rows)
             mu = sp.random_cycle_type(n, rng)
             if ch._mn(shape, mu, memo) == 0:
                 zeros += 1

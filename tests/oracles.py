@@ -6,7 +6,7 @@ products, not strip removal; class data comes from enumerating actual
 permutations; tableau counts come from corner-removal recursion, not hook
 products. Feasible for small n only.
 
-Two exceptions are former package code, kept verbatim as the reference
+Three exceptions are former package code, kept verbatim as the reference
 for the fast path that replaced it:
 
 - reference_mn, the strip-removal kernel on sorted beta lists, for the
@@ -14,7 +14,11 @@ for the fast path that replaced it:
 - omega_set and q_of_omega (with their bounded_partitions generator), the
   enumeration of Omega and the sum of 1/z over it, for the closed-form Q_n
   and |Omega| of lemma_bound. They use the package's cap, partition count
-  and centralizer order, none of which the closed form touches.
+  and centralizer order, none of which the closed form touches;
+- count_with_max_part (with its memo dict _le_cache, now the oracle's own)
+  and reference_unrank, the scan over first parts that calls it, for the
+  count table and bisect of partitions.count_rows and unrank. They use the
+  package's partition count only for unrank's bounds check.
 """
 
 import itertools
@@ -220,6 +224,77 @@ def reference_mn(shape: tuple, mu: tuple, memo: dict) -> int:
         del pending[key]
         stack.pop()
     return memo[root]
+
+
+# -- ranking by the bounded-largest-part recursion ------------------------------
+
+_le_cache: dict[tuple[int, int], int] = {}
+
+def count_with_max_part(n: int, k: int) -> int:
+    """Number of partitions of n whose parts are all <= k.
+
+    Bounded-largest-part recurrence c(n,k) = c(n,k-1) + c(n-k,k),
+    evaluated with an explicit stack so deep (n,k) pairs don't hit the
+    interpreter recursion limit. Independent of partition_count's
+    pentagonal recurrence, which it cross-checks in tests.
+    """
+    if n < 0:
+        return 0
+    k = min(k, n)
+    if n == 0:
+        return 1
+    if k <= 0:
+        return 0
+    root = (n, k)
+    cache = _le_cache
+    stack = [root]
+    while stack:
+        m, j = key = stack[-1]
+        if key in cache:
+            stack.pop()
+            continue
+        if j <= 1:
+            cache[key] = 1 if j == 1 else 0
+            stack.pop()
+            continue
+        rest = m - j
+        a = (m, j - 1)
+        b = (rest, min(j, rest))
+        if rest == 0:
+            vb = 1
+        else:
+            vb = cache.get(b)
+        va = cache.get(a)
+        if va is None or vb is None:
+            if va is None:
+                stack.append(a)
+            if vb is None:
+                stack.append(b)
+            continue
+        cache[key] = va + vb
+        stack.pop()
+    return cache[root]
+
+
+def reference_unrank(n: int, r: int) -> tuple:
+    """Partition of n at canonical rank r; inverse of rank()."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if not 0 <= r < pt.partition_count(n):
+        raise ValueError(f"rank {r} out of bounds for n={n} (p_n={pt.partition_count(n)})")
+    parts = []
+    remaining = n
+    bound = n
+    while remaining:
+        for k in range(min(remaining, bound), 0, -1):
+            c = count_with_max_part(remaining - k, k)
+            if r < c:
+                parts.append(k)
+                bound = k
+                remaining -= k
+                break
+            r -= c
+    return tuple(parts)
 
 
 # -- Omega by enumeration -------------------------------------------------------

@@ -221,6 +221,57 @@ class TestDeterminism:
         assert a != b
 
 
+# Exact stdout of seeded sampler runs, recorded with the former scanning
+# unrank. A change to the rank order or the draw order shows here.
+_MC_PZERO_100_JSON = """\
+{
+  "config": {
+    "subcommand": "mc-pzero",
+    "n": 100,
+    "n_min": null,
+    "n_max": null,
+    "samples": 2000,
+    "seed": 5,
+    "c": null,
+    "f_mode": null,
+    "f_const": null,
+    "strict": null,
+    "exact": null,
+    "fmt": "json",
+    "output": null,
+    "cap": null,
+    "threads": 1,
+    "input_file": null,
+    "exhaustive_omega": null
+  },
+  "summary": {
+    "estimate": 0.9915,
+    "samples": 2000,
+    "std_error": 0.0020527725154044657,
+    "seed": 5,
+    "n": 100,
+    "zeros": 1983,
+    "statistic": "pzero"
+  }
+}
+"""
+
+_PINNED_SAMPLER_RUNS = [
+    (["mc-pzero", "100", "--samples", "2000", "--seed", "5", "--format", "json"],
+     _MC_PZERO_100_JSON),
+    (["mc-pzero", "20", "--samples", "3000", "--seed", "5"],
+     'P_20 estimate = 0.7846666666666666 +/- 0.0075047737893709785 (3000 samples, seed 5)\n'),
+    (["long-cycle", "60", "--samples", "2000", "--seed", "5"],
+     'freq(cycle >= n/(2 log n)) at n=60: 1.0 +/- 0.0 (2000 samples, seed 5)\n'),
+]
+
+
+@pytest.mark.parametrize("argv,want", _PINNED_SAMPLER_RUNS,
+                         ids=["mc-pzero-100-json", "mc-pzero-20", "long-cycle-60"])
+def test_seeded_sampler_output_is_pinned(capsys, argv, want):
+    assert run_ok(capsys, *argv) == want
+
+
 _NO_NUMPY = """
 import sys
 from snchar import cli

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,21 +37,34 @@ class TestCounting:
     def test_bounded_count_agrees_with_pentagonal(self):
         # two unrelated recurrences computing the same sequence
         for n in range(0, 201, 7):
-            assert pt.count_with_max_part(n, n) == pt.partition_count(n)
+            assert orc.count_with_max_part(n, n) == pt.partition_count(n)
 
     def test_bounded_count_small_cases(self):
-        assert pt.count_with_max_part(5, 2) == 3   # 2+2+1, 2+1+1+1, 1^5
-        assert pt.count_with_max_part(6, 3) == 7
-        assert pt.count_with_max_part(4, 0) == 0
-        assert pt.count_with_max_part(0, 0) == 1
-        assert pt.count_with_max_part(-2, 3) == 0
+        assert orc.count_with_max_part(5, 2) == 3   # 2+2+1, 2+1+1+1, 1^5
+        assert orc.count_with_max_part(6, 3) == 7
+        assert orc.count_with_max_part(4, 0) == 0
+        assert orc.count_with_max_part(0, 0) == 1
+        assert orc.count_with_max_part(-2, 3) == 0
 
     def test_bounded_count_matches_enumeration(self):
         for n in range(0, 13):
             full = pt.enumerate_partitions(n)
             for k in range(0, n + 2):
                 want = sum(1 for lam in full if not lam or lam[0] <= k)
-                assert pt.count_with_max_part(n, k) == want
+                assert orc.count_with_max_part(n, k) == want
+
+    def test_count_rows_match_the_recursion(self):
+        rows = pt.count_rows(60)
+        assert [len(row) for row in rows] == list(range(1, 62))
+        for m, row in enumerate(rows):
+            for k, c in enumerate(row):
+                assert c == orc.count_with_max_part(m, k), (m, k)
+
+    def test_count_rows_corner_is_pentagonal(self):
+        # the count table and the pentagonal recurrence, two unrelated ways to p_n
+        rows = pt.count_rows(200)
+        for n in range(201):
+            assert rows[n][n] == pt.partition_count(n)
 
 
 class TestEnumeration:
@@ -116,6 +130,23 @@ class TestRanking:
             pt.unrank(5, pt.partition_count(5))
         with pytest.raises(ValueError):
             pt.unrank(5, -1)
+
+    @pytest.mark.parametrize("n", [100, 420, 1000])
+    def test_unrank_matches_reference_scan(self, n):
+        rows = pt.count_rows(n)
+        rng = random.Random(n)
+        for _ in range(40):
+            r = rng.randrange(pt.partition_count(n))
+            lam = orc.reference_unrank(n, r)
+            assert pt.unrank(n, r, rows) == lam
+            assert pt.rank(lam, rows) == r
+        assert pt.unrank(n, r) == lam
+
+    def test_roundtrip_with_passed_rows(self):
+        rows = pt.count_rows(30)
+        for n in (0, 1, 17, 30):
+            for r in range(0, pt.partition_count(n), 7):
+                assert pt.rank(pt.unrank(n, r, rows), rows) == r
 
     @given(partitions_strategy())
     def test_roundtrip_property(self, lam):

@@ -135,9 +135,12 @@ class TestUniformPartitions:
         assert set(draws) == set(pt.enumerate_partitions(10))
 
     def test_large_n_is_valid(self):
-        # p_300 ~ 9e15 forces the wide-integer rejection path
-        for lam in _draws(sp.uniform_partition, 300, 5):
-            assert sum(lam) == 300
+        # p_n first exceeds 2^63 at n = 406, so p_420 forces the
+        # wide-integer rejection path of uniform_below
+        n = 420
+        assert pt.partition_count(n) > 1 << 63
+        for lam in _draws(sp.uniform_partition, n, 5):
+            assert sum(lam) == n
             assert pt.as_partition(lam) == lam
 
     def test_deterministic(self):
