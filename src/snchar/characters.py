@@ -8,7 +8,12 @@ beads strictly between. A mask is normalised by shifting out its trailing
 one bits (zero parts), so equal shapes meet as equal ints. _strips is this
 move, and both evaluators use it.
 
-_mn gives single values: one strip per part of mu, summed with signs.
+mn_value gives single values by a layer sweep: a map from bead mask to
+signed coefficient starts at the shape, each part t of mu replaces every
+mask by its t-strip removals, and the value is the coefficient left on the
+empty shape (mask 0). Equal shapes merge at each layer, and only two layers
+are alive at a time; nothing is kept between calls.
+
 Whole columns read Murnaghan-Nakayama as p_t s_nu = sum of +-s_lambda over
 the t-strips added to nu (Macdonald, Symmetric Functions, ch. I): the
 column chi^.(t, nu) is a sparse signed operator A_(|nu|,t) applied to the
@@ -29,8 +34,6 @@ from operator import itemgetter, neg, sub
 from . import partitions as pt
 from .partitions import Partition, CapExceededError
 
-_Key = tuple[int, Partition]  # (bead mask, remaining mu suffix)
-_Memo = dict[_Key, int]
 _Op = Callable[[list[int]], list[int]]  # a strip operator A_(m,t)
 
 
@@ -55,48 +58,11 @@ def _strips(beads: int, t: int) -> list[tuple[int, int]]:
     return out
 
 
-def _mn(shape: Partition, mu: Partition, memo: _Memo) -> int:
-    """Character value chi^shape(mu) by iterative strip removal.
-
-    memo is keyed by (normalised bead mask, remaining mu suffix), so a
-    caller that evaluates many values (Monte Carlo) passes one memo for
-    all of them.
-    Uses an explicit work stack: recursion depth grows with len(mu),
-    which can exceed the interpreter limit for cycle types with many
-    fixed points at large n.
-    """
-    root = (_beads(shape), mu)
-    stack = [root]
-    # pending[key] holds the signed child keys once they are scheduled
-    pending: dict[_Key, list[tuple[_Key, int]]] = {}
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        beads, rest = key
-        if not rest:
-            memo[key] = 1
-            stack.pop()
-            continue
-        children = pending.pop(key, None)
-        if children is None:
-            tail = rest[1:]
-            children = [((moved, tail), sign) for moved, sign in _strips(beads, rest[0])]
-            missing = [ck for ck, _ in children if ck not in memo]
-            if missing:
-                pending[key] = children
-                stack.extend(missing)
-                continue
-        memo[key] = sum(sign * memo[ck] for ck, sign in children)
-        stack.pop()
-    return memo[root]
-
-
 def mn_value(shape, mu) -> int:
     """chi^shape(mu): the irreducible character of S_n indexed by shape,
     at the class of cycle type mu. Both arguments must partition the same
-    positive integer.
+    positive integer. A forward sweep over the parts of mu; it has no
+    recursion, so any number of parts is fine.
     """
     sh = pt.as_partition(shape)
     m = pt.as_partition(mu)
@@ -105,7 +71,14 @@ def mn_value(shape, mu) -> int:
         raise ValueError(f"shape sums to {n} but cycle type sums to {sum(m)}")
     if n == 0:
         raise ValueError("partitions of 0 index no character value")
-    return _mn(sh, m, {})
+    layer = {_beads(sh): 1}
+    for t in m:
+        nxt: dict[int, int] = {}
+        for beads, c in layer.items():
+            for moved, sign in _strips(beads, t):
+                nxt[moved] = nxt.get(moved, 0) + sign * c
+        layer = nxt
+    return layer.get(0, 0)
 
 
 def dimension(shape) -> int:
@@ -141,6 +114,9 @@ class CharacterTable:
     values: tuple[tuple[int, ...], ...]
 
     def value(self, shape, mu) -> int:
+        """chi^shape(mu) read from the table; both must partition n."""
+        if sum(pt.as_partition(shape)) != self.n or sum(pt.as_partition(mu)) != self.n:
+            raise ValueError(f"shape and cycle type must both partition {self.n}")
         rows = pt.count_rows(self.n)
         return self.values[pt.rank(shape, rows)][pt.rank(mu, rows)]
 

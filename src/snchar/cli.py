@@ -80,14 +80,6 @@ def _json_report(cfg: RunConfig, body: dict) -> str:
     return json.dumps({"config": asdict(cfg), **body}, indent=2) + "\n"
 
 
-def _require_format(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
-    if cfg.fmt not in allowed:
-        raise ValueError(
-            f"format {cfg.fmt!r} not supported by {cfg.subcommand!r};"
-            f" choose from {', '.join(allowed)}"
-        )
-
-
 def _omega_spec(cfg: RunConfig) -> vn.OmegaSpec:
     return vn.OmegaSpec(
         c=cfg.c, f_mode=cfg.f_mode, f_const=cfg.f_const, strict=cfg.strict
@@ -97,7 +89,6 @@ def _omega_spec(cfg: RunConfig) -> vn.OmegaSpec:
 # -- subcommand bodies ---------------------------------------------------------
 
 def _cmd_table(cfg: RunConfig) -> str:
-    _require_format(cfg, ("text", "csv", "json"))
     tbl = ch.character_table(cfg.n, cfg.cap)
     if cfg.fmt == "csv":
         return tbl.to_csv()
@@ -124,7 +115,6 @@ def _cmd_table(cfg: RunConfig) -> str:
 
 
 def _cmd_pzero(cfg: RunConfig) -> str:
-    _require_format(cfg, ("text", "json"))
     p = vn.exact_pzero(cfg.n, cfg.cap)
     if cfg.fmt == "json":
         return _json_report(cfg, {"n": cfg.n, "p": gr.rational_json(p)})
@@ -132,7 +122,6 @@ def _cmd_pzero(cfg: RunConfig) -> str:
 
 
 def _cmd_bound(cfg: RunConfig) -> str:
-    _require_format(cfg, ("text", "json"))
     rep = vn.lemma_bound(cfg.n, _omega_spec(cfg), cfg.exact, cfg.cap)
     if cfg.fmt == "json":
         return _json_report(cfg, {"bound": rep.to_json_dict()})
@@ -151,7 +140,6 @@ def _cmd_bound(cfg: RunConfig) -> str:
 
 
 def _cmd_mc_pzero(cfg: RunConfig) -> str:
-    _require_format(cfg, ("text", "json"))
     s = vn.montecarlo_pzero(cfg.n, cfg.samples, cfg.seed)
     if cfg.fmt == "json":
         return _json_report(cfg, {"summary": s.to_json_dict()})
@@ -162,7 +150,6 @@ def _cmd_mc_pzero(cfg: RunConfig) -> str:
 
 
 def _cmd_goncharov(cfg: RunConfig) -> str:
-    _require_format(cfg, ("text", "json", "csv"))
     g = vn.goncharov_experiment(cfg.n, cfg.samples, cfg.seed)
     if cfg.fmt == "csv":
         lines = ["normalized_value"]
@@ -182,7 +169,6 @@ def _cmd_goncharov(cfg: RunConfig) -> str:
 
 
 def _cmd_long_cycle(cfg: RunConfig) -> str:
-    _require_format(cfg, ("text", "json"))
     s = vn.long_cycle_frequency(cfg.n, cfg.samples, cfg.seed)
     if cfg.fmt == "json":
         return _json_report(cfg, {"summary": s.to_json_dict()})
@@ -194,7 +180,6 @@ def _cmd_long_cycle(cfg: RunConfig) -> str:
 
 
 def _cmd_table_stats(cfg: RunConfig) -> str:
-    _require_format(cfg, ("text", "csv", "json"))
     series = stats_series(cfg.n_min, cfg.n_max, cfg.cap)
     if cfg.fmt == "csv":
         return series_csv(series)
@@ -212,7 +197,6 @@ def _cmd_table_stats(cfg: RunConfig) -> str:
 
 
 def _cmd_group(cfg: RunConfig) -> str:
-    _require_format(cfg, ("text", "json"))
     try:
         with open(cfg.input_file, "rb") as fh:
             data = gr.load_class_data(fh)
@@ -250,7 +234,6 @@ def _cmd_group(cfg: RunConfig) -> str:
 
 
 def _cmd_export_group(cfg: RunConfig) -> str:
-    _require_format(cfg, ("json",))
     doc = gr.symmetric_group_json(cfg.n, cfg.cap)
     doc["config"] = asdict(cfg)
     return json.dumps(doc, indent=2) + "\n"

@@ -187,23 +187,22 @@ def lemma_bound(
 
 def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> SampleSummary:
     """Estimate P_n by sampling: chi uniform over partitions (unranked
-    uniform rank), g by random cycle type, value by single-shot character
-    evaluation. Character results are pure, so one write-once memo is kept
-    for the whole run, and so is the ranking table that unranks the draws.
+    uniform rank), g by random cycle type, value by mn_value's layer
+    sweep, which keeps nothing between samples. The ranking table that
+    unranks the draws is built once for the whole run.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     zeros = 0
-    memo: dict = {}
     rows = pt.count_rows(n)
     for block, count in sp.block_plan(samples):
         rng = sp.substream(seed, block)
         for _ in range(count):
             shape = sp.uniform_partition(n, rng, rows)
             mu = sp.random_cycle_type(n, rng)
-            if ch._mn(shape, mu, memo) == 0:
+            if ch.mn_value(shape, mu) == 0:
                 zeros += 1
     est = zeros / samples
     se = math.sqrt(est * (1.0 - est) / samples)

@@ -80,6 +80,8 @@ class TestSingleValues:
         n = 3000
         assert ch.mn_value((n,), (1,) * n) == 1
         assert ch.mn_value((1,) * n, (1,) * n) == 1
+        # many shapes per layer across 2000 layers, not only one row or column
+        assert ch.mn_value((1990, 10), (1,) * 2000) == ch.dimension((1990, 10))
 
     @given(_same_n_pairs())
     def test_conjugation_symmetry(self, pair):
@@ -213,6 +215,15 @@ class TestTable:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             ch.character_table(0)
+
+    def test_value_rejects_other_sizes(self):
+        tbl = ch.character_table(4)
+        with pytest.raises(ValueError):
+            tbl.value((2, 1), (1, 1, 1))
+        with pytest.raises(ValueError):
+            tbl.value((5,), (5,))
+        with pytest.raises(ValueError):
+            tbl.value((4,), (3,))
 
     def test_csv_n3(self):
         want = (
