@@ -11,7 +11,6 @@ from .partitions import (
     conjugate,
     enumerate_partitions,
     partition_count,
-    rank,
     unrank,
 )
 from .characters import CharacterTable, character_table, dimension, mn_value
@@ -69,7 +68,6 @@ __all__ = [
     "partition_count",
     "proposition_bound",
     "random_cycle_type",
-    "rank",
     "stats_series",
     "table_stats",
     "uniform_partition",

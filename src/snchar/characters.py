@@ -113,13 +113,6 @@ class CharacterTable:
     classes: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
 
-    def value(self, shape, mu) -> int:
-        """chi^shape(mu) read from the table; both must partition n."""
-        if sum(pt.as_partition(shape)) != self.n or sum(pt.as_partition(mu)) != self.n:
-            raise ValueError(f"shape and cycle type must both partition {self.n}")
-        rows = pt.count_rows(self.n)
-        return self.values[pt.rank(shape, rows)][pt.rank(mu, rows)]
-
     def to_csv(self) -> str:
         """CSV text: header row of class labels, then one row per character
         led by its shape label.
@@ -208,17 +201,10 @@ def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, l
         stack.extend((u, nu, s, vec) for u in range(rest // 2, t - 1, -1))
 
 
-def table_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, list[int]]]:
-    """class_columns buffered into canonical order, so all p_n^2 values
-    are held at once."""
-    columns = dict(class_columns(n, cap))
-    for mu in pt.enumerate_partitions(n, cap):
-        yield mu, columns.pop(mu)
-
-
 def character_table(n: int, cap: int | None = None) -> CharacterTable:
-    """Build the full table for S_n: the column stream, transposed."""
-    classes, cols = zip(*table_columns(n, cap))
-    return CharacterTable(
-        n=n, characters=classes, classes=classes, values=tuple(zip(*cols))
-    )
+    """Build the full table for S_n: the column stream, buffered into
+    canonical order and transposed, so all p_n^2 values are held at once."""
+    columns = dict(class_columns(n, cap))
+    classes = tuple(pt.enumerate_partitions(n, cap))
+    values = tuple(zip(*map(columns.pop, classes)))
+    return CharacterTable(n=n, characters=classes, classes=classes, values=values)

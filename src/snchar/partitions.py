@@ -1,20 +1,21 @@
-"""Integer partitions of n: enumeration, counting, ranking, and the
+"""Integer partitions of n: counting, enumeration, unranking, and the
 class-theoretic attributes (centralizer orders, class sizes, conjugation)
 that identify conjugacy classes of the symmetric group by cycle type.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the unique partition of 0. The canonical order used everywhere
-(table axes, ranking) is descending lexicographic on the part sequence,
-so (n) comes first and (1,...,1) last.
+(table axes, sampling) is descending lexicographic on the part sequence,
+so (n) comes first and (1,...,1) last. It has one definition: unrank reads
+the partition at rank r off the counting table of count_rows, and
+enumerate_partitions lists unrank(n, r) for r = 0, ..., p_n - 1.
 
 All counts use Python's arbitrary-precision ints. The only memo is
-_pn_cache, the partition counts; the ranking table of count_rows is built
+_pn_cache, the partition counts; the counting table of count_rows is built
 per call and owned by the caller.
 """
 
 import os
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 
@@ -40,11 +41,11 @@ def as_partition(parts) -> Partition:
     """Validate and return parts as a partition tuple.
 
     Raises ValueError unless parts is weakly decreasing with positive
-    integer entries.
+    int entries; bools and other int subclasses are rejected.
     """
     t = tuple(parts)
     for i, p in enumerate(t):
-        if not isinstance(p, int) or p < 1:
+        if type(p) is not int or p < 1:
             raise ValueError(f"partition parts must be positive integers, got {p!r}")
         if i and t[i - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing: {t}")
@@ -88,8 +89,8 @@ def partition_count(n: int) -> int:
 
 
 def count_rows(n: int) -> list[list[int]]:
-    """Counting table for ranking: rows[m][k] is the number of partitions
-    of m with every part <= k, for 0 <= k <= m <= n.
+    """Counting table of the canonical order: rows[m][k] is the number of
+    partitions of m with every part <= k, for 0 <= k <= m <= n.
 
     Built row by row from c(m, k) = c(m, k-1) + c(m-k, min(k, m-k)), a
     recurrence independent of partition_count's pentagonal one (rows[n][n]
@@ -107,7 +108,7 @@ def count_rows(n: int) -> list[list[int]]:
     return rows
 
 
-# -- enumeration and ranking -------------------------------------------------
+# -- enumeration -------------------------------------------------------------
 
 def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
     """All partitions of n in canonical (descending lexicographic) order.
@@ -122,51 +123,12 @@ def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
         raise CapExceededError(
             f"p_{n} = {total} exceeds enumeration cap {limit}"
         )
-    if n == 0:
-        return [()]
-    out = []
-    cur = (n,)
-    while True:
-        out.append(cur)
-        i = len(cur) - 1
-        while i >= 0 and cur[i] == 1:
-            i -= 1
-        if i < 0:
-            break
-        # decrement cur[i], redistribute the freed cells greedily
-        k = cur[i] - 1
-        rest = len(cur) - i
-        head = cur[:i] + (k,)
-        tail = []
-        while rest > 0:
-            part = min(k, rest)
-            tail.append(part)
-            rest -= part
-        cur = head + tuple(tail)
-    return out
-
-
-def rank(parts, rows: list[list[int]] | None = None) -> int:
-    """Canonical rank of a partition among partitions of its own size.
-
-    rows is count_rows(m) for some m >= sum(parts); built when omitted.
-    """
-    t = as_partition(parts)
-    remaining = bound = sum(t)
-    if rows is None:
-        rows = count_rows(remaining)
-    r = 0
-    for a in t:
-        # partitions of `remaining` ranked before t here: first part in (a, b]
-        row = rows[remaining]
-        r += row[min(remaining, bound)] - row[a]
-        bound = a
-        remaining -= a
-    return r
+    rows = count_rows(n)
+    return [unrank(n, r, rows) for r in range(total)]
 
 
 def unrank(n: int, r: int, rows: list[list[int]] | None = None) -> Partition:
-    """Partition of n at canonical rank r; inverse of rank().
+    """Partition of n at canonical rank r, 0 <= r < p_n.
 
     Each part is one bisect in a row of count_rows. rows is count_rows(m)
     for some m >= n; it costs O(n^2) to build, so pass it when unranking
@@ -174,10 +136,10 @@ def unrank(n: int, r: int, rows: list[list[int]] | None = None) -> Partition:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not 0 <= r < partition_count(n):
-        raise ValueError(f"rank {r} out of bounds for n={n} (p_n={partition_count(n)})")
     if rows is None:
         rows = count_rows(n)
+    if not 0 <= r < rows[n][n]:
+        raise ValueError(f"rank {r} out of bounds for n={n} (p_n={rows[n][n]})")
     parts = []
     remaining = bound = n
     while remaining:
@@ -231,7 +193,3 @@ def class_size(parts) -> int:
         )
     return q
 
-
-def class_probability(parts) -> Fraction:
-    """Probability 1/z that a uniform permutation has this cycle type."""
-    return Fraction(1, centralizer_order(parts))

@@ -37,9 +37,10 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """
     import numpy as np
 
-    return np.random.Generator(
-        np.random.Philox(key=[seed & MASK64, index & MASK64])
-    )
+    # an explicit uint64 array: a plain list holding a value >= 2^63 is
+    # cast through float64, and distinct seeds collide
+    key = np.array([seed & MASK64, index & MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def block_plan(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
@@ -107,8 +108,9 @@ def uniform_partition(n: int, rng: np.random.Generator,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    r = uniform_below(pt.partition_count(n), rng)
-    return pt.unrank(n, r, rows)
+    if rows is None:
+        rows = pt.count_rows(n)
+    return pt.unrank(n, uniform_below(rows[n][n], rng), rows)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,10 @@ class OmegaSpec:
         if n < 2:
             raise ValueError("Omega is defined for n >= 2")
         x = self.c * math.sqrt(n) * (math.log(n) + self.f_value(n))
+        if not math.isfinite(x):
+            raise ValueError(
+                f"Omega threshold for n={n} is not finite ({x}); check c and f"
+            )
         t = Fraction(x)
         if self.strict:
             return math.floor(t) + 1

@@ -277,7 +277,7 @@ def count_with_max_part(n: int, k: int) -> int:
 
 
 def reference_unrank(n: int, r: int) -> tuple:
-    """Partition of n at canonical rank r; inverse of rank()."""
+    """Partition of n at canonical rank r, by scanning first parts."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= r < pt.partition_count(n):

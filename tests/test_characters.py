@@ -94,7 +94,8 @@ class TestSingleValues:
     def test_value_matches_table(self, pair):
         sh, mu = pair
         tbl = ch.character_table(sum(sh))
-        assert ch.mn_value(sh, mu) == tbl.value(sh, mu)
+        i, j = tbl.characters.index(sh), tbl.classes.index(mu)
+        assert ch.mn_value(sh, mu) == tbl.values[i][j]
 
 
 class TestReferenceKernel:
@@ -216,15 +217,6 @@ class TestTable:
         with pytest.raises(ValueError):
             ch.character_table(0)
 
-    def test_value_rejects_other_sizes(self):
-        tbl = ch.character_table(4)
-        with pytest.raises(ValueError):
-            tbl.value((2, 1), (1, 1, 1))
-        with pytest.raises(ValueError):
-            tbl.value((5,), (5,))
-        with pytest.raises(ValueError):
-            tbl.value((4,), (3,))
-
     def test_csv_n3(self):
         want = (
             "shape,3,2-1,1-1-1\n"
@@ -250,7 +242,7 @@ class TestColumnStream:
                 (mu, [row[j] for row in tbl.values])
                 for j, mu in enumerate(tbl.classes)
             ]
-            assert list(ch.table_columns(n)) == want
+            assert dict(ch.class_columns(n)) == dict(want)
 
             p = sum(
                 Fraction(col.count(0), pt.centralizer_order(mu))

@@ -29,6 +29,16 @@ class TestExitCodes:
     def test_bad_f(self, capsys):
         assert cli.run(["bound", "6", "--f", "cubic"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "12", "--C", "inf"],
+        ["bound", "12", "--f", "inf"],
+        ["bound", "12", "--C", "1e308", "--no-exact"],
+        ["bound", "12", "--f", "nan"],
+    ])
+    def test_non_finite_threshold(self, capsys, argv):
+        assert cli.run(argv) == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_bad_samples(self, capsys):
         assert cli.run(["mc-pzero", "3", "--samples", "0"]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,15 @@ class TestPlumbing:
         c = sp.substream(SEED, 4).bytes(32)
         assert a == b
         assert a != c
+
+    def test_substreams_distinct_for_any_64_bit_seed(self):
+        # seeds at or above 2^63 (negative ones included, via the mask) once
+        # went through float64 and collapsed onto shared streams
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((-1, -2), (2**63, 2**63 + 1), (-1, 2**64 - 1000)):
+                assert sp.substream(a, 0).bytes(32) != sp.substream(b, 0).bytes(32)
+            assert sp.substream(-1, 0).bytes(32) == sp.substream(2**64 - 1, 0).bytes(32)
 
     def test_uniform_below_range(self):
         rng = sp.substream(SEED, 0)
