@@ -17,6 +17,7 @@ Example:
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -92,4 +93,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`): stop quietly, and
+        # point stdout at devnull so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -71,11 +71,18 @@ def mn_value(shape, mu) -> int:
         raise ValueError(f"shape sums to {n} but cycle type sums to {sum(m)}")
     if n == 0:
         raise ValueError("partitions of 0 index no character value")
-    layer = {_beads(sh): 1}
-    for t in m:
+    return _sweep(_beads(sh), m)
+
+
+def _sweep(beads: int, mu) -> int:
+    """mn_value without its checks: the signed count of ways to empty the
+    shape with bead mask beads by removing strips of lengths mu in order.
+    """
+    layer = {beads: 1}
+    for t in mu:
         nxt: dict[int, int] = {}
-        for beads, c in layer.items():
-            for moved, sign in _strips(beads, t):
+        for mask, c in layer.items():
+            for moved, sign in _strips(mask, t):
                 nxt[moved] = nxt.get(moved, 0) + sign * c
         layer = nxt
     return layer.get(0, 0)

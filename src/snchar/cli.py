@@ -69,11 +69,14 @@ def _unlimited_int_digits():
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
+    if not cfg.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {cfg.output!r}: {e}") from None
 
 
 def _json_report(cfg: RunConfig, body: dict) -> str:
@@ -140,7 +143,7 @@ def _cmd_bound(cfg: RunConfig) -> str:
 
 
 def _cmd_mc_pzero(cfg: RunConfig) -> str:
-    s = vn.montecarlo_pzero(cfg.n, cfg.samples, cfg.seed)
+    s = vn.montecarlo_pzero(cfg.n, cfg.samples, cfg.seed, cfg.cap)
     if cfg.fmt == "json":
         return _json_report(cfg, {"summary": s.to_json_dict()})
     return (
@@ -391,13 +394,13 @@ def run(argv=None) -> int:
         cfg = _config_from_args(args)
         with _unlimited_int_digits():
             text = _COMMANDS[cfg.subcommand](cfg)
+        _emit(text, cfg)
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(text, cfg)
     return 0
 
 

@@ -88,14 +88,22 @@ def partition_count(n: int) -> int:
     return _pn_cache[n]
 
 
-def count_rows(n: int) -> list[list[int]]:
+def count_rows(n: int, cap: int | None = None) -> list[list[int]]:
     """Counting table of the canonical order: rows[m][k] is the number of
     partitions of m with every part <= k, for 0 <= k <= m <= n.
 
     Built row by row from c(m, k) = c(m, k-1) + c(m-k, min(k, m-k)), a
     recurrence independent of partition_count's pentagonal one (rows[n][n]
-    is p_n). O(n^2) ints, owned by the caller.
+    is p_n). (n + 1)(n + 2)/2 ints, owned by the caller; raises
+    CapExceededError before any work if they exceed the enumeration cap.
     """
+    limit = enumeration_cap(cap)
+    entries = (n + 1) * (n + 2) // 2
+    if entries > limit:
+        raise CapExceededError(
+            f"a counting table for n={n} needs {entries} entries"
+            f" (exceeds cap {limit})"
+        )
     rows, corners = [[1]], [1]
     for m in range(1, n + 1):
         h = m // 2
@@ -123,7 +131,7 @@ def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
         raise CapExceededError(
             f"p_{n} = {total} exceeds enumeration cap {limit}"
         )
-    rows = count_rows(n)
+    rows = count_rows(n, cap)
     return [unrank(n, r, rows) for r in range(total)]
 
 

@@ -189,24 +189,28 @@ def lemma_bound(
     )
 
 
-def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> SampleSummary:
+def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
+                     cap: int | None = None) -> SampleSummary:
     """Estimate P_n by sampling: chi uniform over partitions (unranked
     uniform rank), g by random cycle type, value by mn_value's layer
-    sweep, which keeps nothing between samples. The ranking table that
-    unranks the draws is built once for the whole run.
+    sweep, which keeps nothing between samples. The sampled partitions
+    are valid by construction, so the sweep runs without mn_value's
+    checks. The ranking table that unranks the draws is built once for
+    the whole run; it has (n + 1)(n + 2)/2 entries, which must fit the
+    enumeration cap.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     zeros = 0
-    rows = pt.count_rows(n)
+    rows = pt.count_rows(n, cap)
     for block, count in sp.block_plan(samples):
         rng = sp.substream(seed, block)
         for _ in range(count):
             shape = sp.uniform_partition(n, rng, rows)
             mu = sp.random_cycle_type(n, rng)
-            if ch.mn_value(shape, mu) == 0:
+            if ch._sweep(ch._beads(shape), mu) == 0:
                 zeros += 1
     est = zeros / samples
     se = math.sqrt(est * (1.0 - est) / samples)

@@ -56,6 +56,15 @@ class TestSingleValues:
     def test_standard_zero(self):
         assert ch.mn_value((2, 1), (2, 1)) == 0
 
+    def test_bare_sweep_matches_mn_value(self):
+        # the Monte Carlo loop calls the sweep on bead masks directly
+        for n in range(1, 9):
+            lams = pt.enumerate_partitions(n)
+            for sh in lams:
+                beads = ch._beads(sh)
+                for mu in lams:
+                    assert ch._sweep(beads, mu) == ch.mn_value(sh, mu), (sh, mu)
+
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             ch.mn_value((3,), (2, 2))

@@ -70,6 +70,24 @@ class TestExitCodes:
         assert "p_n^2 = 1764" in captured.err
         assert captured.out == ""
 
+    def test_mc_pzero_counting_table_cap(self, capsys, monkeypatch):
+        # the ranking table of n = 5000 has 12,507,501 entries, over the
+        # default cap: refused before any of it is built
+        assert cli.run(["mc-pzero", "5000", "--samples", "1"]) == 3
+        assert "12507501 entries" in capsys.readouterr().err
+        monkeypatch.setenv("SNCHAR_CAP", "1000")
+        assert cli.run(["mc-pzero", "100", "--samples", "1"]) == 3
+        assert "5151 entries" in capsys.readouterr().err
+        assert cli.run(["mc-pzero", "100", "--samples", "1", "--cap", "5151"]) == 0
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        path = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+        assert cli.run(["table", "8", "--output", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_bound_without_exact_needs_no_cap(self, capsys):
         # p_300 = 9253082936723602 is far above the cap; nothing is enumerated
         assert cli.run(["bound", "300", "--no-exact", "--cap", "10"]) == 0

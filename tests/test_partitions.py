@@ -72,6 +72,15 @@ class TestCounting:
         for n in range(201):
             assert rows[n][n] == pt.partition_count(n)
 
+    def test_count_rows_cap_counts_entries(self, monkeypatch):
+        # rows 0..100 hold 101 * 102 / 2 = 5151 ints
+        with pytest.raises(pt.CapExceededError, match="5151 entries"):
+            pt.count_rows(100, cap=5150)
+        assert len(pt.count_rows(100, cap=5151)) == 101
+        monkeypatch.setenv(pt.CAP_ENV_VAR, "5150")
+        with pytest.raises(pt.CapExceededError):
+            pt.count_rows(100)
+
 
 class TestEnumeration:
     def test_n4_order(self):

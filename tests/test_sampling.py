@@ -1,7 +1,9 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from snchar import partitions as pt
@@ -76,6 +78,54 @@ class TestPlumbing:
         assert s.to_json_dict() == {
             "estimate": 0.25, "samples": 4, "std_error": 0.1, "seed": 7, "n": 3,
         }
+
+
+def _generator(seed, index):
+    """numpy's Generator on the Philox key of substream(seed, index)."""
+    key = np.array([seed & sp.MASK64, index & sp.MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestStreamOracle:
+    """Stream draws equal numpy's Generator draws on the same key."""
+
+    # every bound class of Stream.below: no draw, 32-bit Lemire (with the
+    # rejection-heavy 2^31 + 1), a raw half, 64-bit Lemire, and 2^63
+    BOUNDS = (1, 2, 20, 627, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+              2**62 + 2**61 + 1, 2**63)
+    LENGTHS = (0, 1, 5, 32)
+
+    def test_interleaved_draws_match_generator(self):
+        for seed in range(120):
+            ops = random.Random(seed)
+            stream, gen = sp.substream(seed, 7), _generator(seed, 7)
+            for step in range(300):
+                if ops.random() < 0.25:
+                    k = ops.choice(self.LENGTHS)
+                    assert stream.bytes(k) == gen.bytes(k), (seed, step, k)
+                else:
+                    b = ops.choice(self.BOUNDS)
+                    want = int(gen.integers(0, b))
+                    assert stream.below(b) == want, (seed, step, b)
+
+    def test_full_64_bit_range_is_a_raw_word(self):
+        stream, gen = sp.substream(SEED, 0), _generator(SEED, 0)
+        for b in (2**64, 3, 2**64, 2**32, 2**64):
+            assert stream.below(b) == int(gen.integers(0, b, dtype="uint64"))
+
+    def test_bound_one_consumes_nothing(self):
+        stream, fresh = sp.substream(SEED, 2), sp.substream(SEED, 2)
+        assert [stream.below(1) for _ in range(10)] == [0] * 10
+        assert stream.below(2**40) == fresh.below(2**40)
+        assert stream.below(627) == fresh.below(627)
+
+    def test_invalid_arguments(self):
+        stream = sp.substream(SEED, 0)
+        for b in (0, -3, 2**64 + 1):
+            with pytest.raises(ValueError):
+                stream.below(b)
+        with pytest.raises(ValueError):
+            stream.bytes(-1)
 
 
 class TestCycleTypes:
