@@ -1,16 +1,19 @@
 """Random partitions and random cycle types, with reproducible streams.
 
-Randomness comes from numpy's Philox counter-based generator. A run is
+Randomness comes from the counter-based generator Philox4x64-10 (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). A run is
 identified by a 64-bit seed; sample index space is split into fixed-size
-blocks and block i draws from the keyed substream Philox(key=[seed, i]).
+blocks and block i draws from the substream keyed by (seed, i).
 Substreams are independent by construction, so results depend only on
-(seed, sample index), not on how many workers consumed the blocks.
+(seed, sample index).
 
-numpy supplies only the raw 64-bit Philox words, CHUNK of them per call.
-A Stream turns them into bounded integers and bytes in plain Python:
-Lemire's multiply-and-reject method, as numpy's Generator implements it,
-so every draw equals Generator.integers or Generator.bytes on the same
-key, bit for bit, without a numpy call per draw.
+The generator is plain Python: one refill computes CHUNK words as 128
+counters side by side in the 128-bit lanes of four big ints, word for word
+equal to numpy's Philox(key=[seed, i]).random_raw. A Stream turns the
+words into bounded integers and bytes by Lemire's multiply-and-reject
+method, as numpy's Generator implements it, so every draw equals
+Generator.integers or Generator.bytes on the same key, bit for bit. The
+package needs nothing beyond the standard library at run time.
 
 Two samplers:
 
@@ -23,6 +26,8 @@ Two samplers:
   with one bisect per part in a pt.count_rows table.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from . import partitions as pt
@@ -32,23 +37,77 @@ MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 DEFAULT_SEED = 20250217
 BLOCK_SIZE = 16384
-CHUNK = 512  # Philox words fetched per numpy call
+CHUNK = 512  # Philox words computed per refill, four per counter
+
+# Philox4x64-10: round multipliers, key increments, round count
+PHILOX_M0, PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+PHILOX_W0, PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+PHILOX_ROUNDS = 10
+
+# A refill puts the i-th of its LANES counters in bits [128 i, 128 i + 128)
+# of an int, so a 64 x 64-bit product never carries into the next lane. The
+# lane constants are closed forms, cheap to build at import.
+LANES = CHUNK // 4
+_LANE = 1 << 128
+_TOP = 1 << 128 * LANES
+_REP = (_TOP - 1) // (_LANE - 1)  # 1 in every lane
+_LO = MASK64 * _REP  # MASK64 in every lane
+# i in lane i: with r = _LANE and B = LANES, the sum of i r^i over i < B
+# is (r - B r^B + (B - 1) r^(B+1)) / (r - 1)^2
+_IOTA = (_LANE - LANES * _TOP + (LANES - 1) * _TOP * _LANE) // (_LANE - 1) ** 2
+_LANE_BYTES = 16 * LANES
+
+
+def lane_words(x: int) -> array:
+    """The low 64 bits of each 128-bit lane of x, lane 0 first."""
+    words = array("Q", x.to_bytes(_LANE_BYTES, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]
+
+
+def philox_chunks(key0: int, key1: int):
+    """Philox4x64-10 words under the key (key0, key1), CHUNK per list.
+
+    The words are those of numpy's Philox(key=[key0, key1]).random_raw:
+    counter word 0 runs 1, 2, ... (numpy increments before it generates),
+    words 1 to 3 stay 0 (a carry into them needs 2^64 blocks), and each
+    block gives its output words v0, v1, v2, v3 in that order.
+    """
+    keys = []  # the round keys, repeated in every lane
+    for _ in range(PHILOX_ROUNDS):
+        keys.append((key0 * _REP, key1 * _REP))
+        key0 = (key0 + PHILOX_W0) & MASK64
+        key1 = (key1 + PHILOX_W1) & MASK64
+    counters = _REP + _IOTA  # 1 + i in lane i
+    while True:
+        x0, x1, x2, x3 = counters, 0, 0, 0
+        for k0, k1 in keys:
+            p0 = x0 * PHILOX_M0
+            p1 = x2 * PHILOX_M1
+            x0, x1, x2, x3 = ((p1 >> 64) & _LO ^ x1 ^ k0, p1 & _LO,
+                              (p0 >> 64) & _LO ^ x3 ^ k1, p0 & _LO)
+        words = [0] * CHUNK
+        for j, x in enumerate((x0, x1, x2, x3)):
+            words[j::4] = lane_words(x)
+        yield words
+        counters += LANES * _REP
 
 
 class Stream:
     """Bounded draws from raw 64-bit words, equal to numpy's Generator
     on the same bit generator.
 
-    raw(k) returns the next k words as a uint64 array. 32-bit draws take
+    chunks yields lists of words, such as philox_chunks. 32-bit draws take
     a word's low half, then its high half, which waits in a one-word
     buffer; 64-bit draws take whole words and leave the buffer alone,
     as numpy's Philox does.
     """
 
-    __slots__ = ("_raw", "_words", "_next", "_high")
+    __slots__ = ("_chunks", "_words", "_next", "_high")
 
-    def __init__(self, raw):
-        self._raw = raw
+    def __init__(self, chunks):
+        self._chunks = chunks
         self._words: list[int] = []
         self._next = 0
         self._high: int | None = None
@@ -56,7 +115,7 @@ class Stream:
     def _word(self) -> int:
         i = self._next
         if i == len(self._words):
-            self._words = self._raw(CHUNK).tolist()
+            self._words = next(self._chunks)
             i = 0
         self._next = i + 1
         return self._words[i]
@@ -114,17 +173,8 @@ class Stream:
 
 
 def substream(seed: int, index: int) -> Stream:
-    """Philox stream keyed by (seed, block index).
-
-    numpy is imported here, its only use, so that commands which draw no
-    samples do not pay for the import.
-    """
-    import numpy as np
-
-    # an explicit uint64 array: a plain list holding a value >= 2^63 is
-    # cast through float64, and distinct seeds collide
-    key = np.array([seed & MASK64, index & MASK64], dtype=np.uint64)
-    return Stream(np.random.Philox(key=key).random_raw)
+    """Philox stream keyed by (seed, block index), each taken mod 2^64."""
+    return Stream(philox_chunks(seed & MASK64, index & MASK64))
 
 
 def block_plan(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:

@@ -300,6 +300,33 @@ def test_seeded_sampler_output_is_pinned(capsys, argv, want):
     assert run_ok(capsys, *argv) == want
 
 
+_GONCHAROV_200 = ("cycle counts at n=200: 500 samples, seed 5\n"
+                  "KS distance to limit law = 0.1743625808702598\n")
+
+# the sampling commands, pinned above, need nothing outside the standard
+# library: numpy set to None in sys.modules makes any import of it fail
+_SAMPLING_WITHOUT_NUMPY = _PINNED_SAMPLER_RUNS + [
+    (["goncharov", "200", "--samples", "500", "--seed", "5"], _GONCHAROV_200),
+]
+
+
+@pytest.mark.parametrize("argv,want", _SAMPLING_WITHOUT_NUMPY,
+                         ids=["mc-pzero-100-json", "mc-pzero-20", "long-cycle-60",
+                              "goncharov-200"])
+def test_sampling_commands_run_without_numpy(argv, want):
+    src = os.path.dirname(os.path.dirname(snchar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SNCHAR_CAP", None)
+    code = ('import sys; sys.modules["numpy"] = None; '
+            'from snchar.cli import main; main()')
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
+
+
 _NO_NUMPY = """
 import sys
 from snchar import cli
@@ -313,7 +340,8 @@ if "numpy" in sys.modules:
 
 
 def test_table_commands_import_no_numpy(tmp_path):
-    # numpy would add about 12 MiB to the peak RSS of every small table process
+    # a bare numpy import adds about 13 MiB to the peak RSS of a small table
+    # process (pzero 12: 16.7 -> 29.5 MiB), and numpy's Philox about 18.5 MiB
     src = os.path.dirname(os.path.dirname(snchar.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("SNCHAR_CAP", None)

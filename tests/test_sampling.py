@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -84,6 +85,41 @@ def _generator(seed, index):
     """numpy's Generator on the Philox key of substream(seed, index)."""
     key = np.array([seed & sp.MASK64, index & sp.MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _philox_raw(key0, key1, k):
+    """The first k words of numpy's Philox on the key (key0, key1)."""
+    key = np.array([key0, key1], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(k).tolist()
+
+
+class TestPhiloxOracle:
+    """philox_chunks gives numpy's Philox words on the same key."""
+
+    KEYS = (0, 1, 2**63, 2**64 - 1)
+    REFILLS = 3
+
+    def test_words_match_numpy_philox(self):
+        for key0 in self.KEYS:
+            for key1 in self.KEYS:
+                chunks = islice(sp.philox_chunks(key0, key1), self.REFILLS)
+                got = [w for chunk in chunks for w in chunk]
+                want = _philox_raw(key0, key1, self.REFILLS * sp.CHUNK)
+                assert got == want, (key0, key1)
+
+    def test_negative_seed_is_masked(self):
+        # below(2^64) hands out whole raw words
+        for seed in (-1, -sp.DEFAULT_SEED):
+            stream = sp.substream(seed, 2)
+            got = [stream.below(2**64) for _ in range(self.REFILLS * sp.CHUNK)]
+            assert got == _philox_raw(seed & sp.MASK64, 2, len(got)), seed
+
+    def test_lane_words(self):
+        ones = (1 << 128 * sp.LANES) - 1
+        rnd = random.Random(SEED)
+        for x in (0, ones, 1 << 128 * (sp.LANES - 1), rnd.getrandbits(128 * sp.LANES)):
+            want = [(x >> 128 * i) & sp.MASK64 for i in range(sp.LANES)]
+            assert sp.lane_words(x).tolist() == want
 
 
 class TestStreamOracle:
