@@ -26,10 +26,10 @@ Everything is exact integer arithmetic; there is no floating point here.
 """
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial
 from operator import itemgetter, neg, sub
+from typing import NamedTuple
 
 from . import partitions as pt
 from .partitions import Partition, CapExceededError
@@ -107,8 +107,7 @@ def dimension(shape) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Full character table of S_n on canonical axes.
 
     Rows are characters (indexed by shape), columns are classes (indexed

@@ -8,11 +8,10 @@ report embeds the resolved run configuration.
 """
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import characters as ch
 from . import groups as gr
@@ -23,8 +22,7 @@ from .partitions import CapExceededError
 from .table_stats import series_csv, stats_series
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved flags for one invocation; embedded in JSON reports."""
     subcommand: str
     n: int | None = None
@@ -80,7 +78,9 @@ def _emit(text: str, cfg: RunConfig) -> None:
 
 
 def _json_report(cfg: RunConfig, body: dict) -> str:
-    return json.dumps({"config": asdict(cfg), **body}, indent=2) + "\n"
+    import json
+
+    return json.dumps({"config": cfg._asdict(), **body}, indent=2) + "\n"
 
 
 def _omega_spec(cfg: RunConfig) -> vn.OmegaSpec:
@@ -237,8 +237,10 @@ def _cmd_group(cfg: RunConfig) -> str:
 
 
 def _cmd_export_group(cfg: RunConfig) -> str:
+    import json
+
     doc = gr.symmetric_group_json(cfg.n, cfg.cap)
-    doc["config"] = asdict(cfg)
+    doc["config"] = cfg._asdict()
     return json.dumps(doc, indent=2) + "\n"
 
 

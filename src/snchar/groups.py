@@ -20,23 +20,22 @@ table is real-valued, the second column orthogonality relation
 (sum over characters of chi(K)^2 = |G| / |K|) is enforced at load time.
 """
 
-import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(NamedTuple):
     """Conjugacy-class data of a finite group, optionally with its
-    character table (rows = characters, columns = classes).
+    character table (rows = characters, columns = classes). Integer entries
+    are ints; only {"num","den"} entries are Fractions.
     """
     group_name: str
     order: int
     class_names: tuple[str, ...]
     class_sizes: tuple[int, ...]
-    table: tuple[tuple[Fraction, ...], ...] | None = None
+    table: tuple[tuple[int | Fraction, ...], ...] | None = None
 
     @property
     def num_classes(self) -> int:
@@ -63,14 +62,14 @@ def rational_json(x: Fraction | None) -> dict | None:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _parse_entry(value, where: str) -> Fraction:
+def _parse_entry(value, where: str) -> int | Fraction:
     if isinstance(value, bool):
         raise ValueError(f"table entry {where} must be an integer or rational")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
-            return Fraction(int(value))
+            return int(value)
         except ValueError:
             raise ValueError(
                 f"table entry {where} must be a decimal-string integer, got {value!r}"
@@ -94,6 +93,8 @@ def load_class_data(source) -> ClassData:
     it, and (when a table is present) a square table whose columns satisfy
     sum of squares = |G|/size exactly. Errors name the offending class.
     """
+    import json
+
     raw = source.read() if hasattr(source, "read") else source
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
@@ -143,12 +144,12 @@ def load_class_data(source) -> ClassData:
                 _parse_entry(v, f"[{i}][{j}]") for j, v in enumerate(row)
             ))
         table = tuple(parsed)
-        for j in range(k):
-            got = sum(row[j] * row[j] for row in table)
-            want = Fraction(order, sizes[j])
+        for cname, size, col in zip(names, sizes, zip(*table)):
+            got = sum(v * v for v in col)
+            want = order // size
             if got != want:
                 raise ValueError(
-                    f"column orthogonality fails at class {names[j]!r}:"
+                    f"column orthogonality fails at class {cname!r}:"
                     f" sum of squares {got}, expected {want}"
                 )
     return ClassData(
@@ -163,8 +164,7 @@ def default_omega(data: ClassData) -> list[int]:
     return [j for j, s in enumerate(data.class_sizes) if k * s >= data.order]
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(NamedTuple):
     """Q, R, the lower bound Q - R, and exact P(G) when a table exists."""
     q: Fraction
     r: Fraction
@@ -199,8 +199,8 @@ def proposition_bound(data: ClassData, omega) -> PropositionReport:
     exact = None
     if data.table is not None:
         weighted = sum(
-            data.class_sizes[j] * sum(1 for row in data.table if row[j] == 0)
-            for j in range(k)
+            size * col.count(0)
+            for size, col in zip(data.class_sizes, zip(*data.table))
         )
         exact = Fraction(weighted, k * data.order)
         if not (1 >= exact >= lower):
@@ -213,8 +213,7 @@ def proposition_bound(data: ClassData, omega) -> PropositionReport:
     )
 
 
-@dataclass(frozen=True)
-class OmegaCheckRecord:
+class OmegaCheckRecord(NamedTuple):
     """Outcome of maximizing Q - R over subsets of classes."""
     method: str
     subsets_checked: int

@@ -28,7 +28,7 @@ Two samplers:
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import partitions as pt
 from .partitions import Partition
@@ -246,8 +246,7 @@ def uniform_partition(n: int, rng: Stream,
     return pt.unrank(n, uniform_below(rows[n][n], rng), rows)
 
 
-@dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(NamedTuple):
     """Outcome of a Monte Carlo run: point estimate with its sampling
     error and enough metadata to reproduce it exactly.
     """
@@ -255,7 +254,7 @@ class SampleSummary:
     samples: int
     std_error: float
     seed: int
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,16 +8,15 @@ inspection, with reference distances to 1/e and 1/3 included.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import characters as ch
 from . import partitions as pt
 from .groups import rational_json
 
 
-@dataclass(frozen=True)
-class TableStats:
+class TableStats(NamedTuple):
     """Entry counts of the p_n x p_n character table.
 
     sign_ratio is positives/negatives, or None when there are no negative

@@ -25,8 +25,8 @@ estimate. Logs are natural throughout.
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import characters as ch
 from . import partitions as pt
@@ -37,24 +37,34 @@ from .sampling import SampleSummary
 DEFAULT_C = math.sqrt(6.0) / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class OmegaSpec:
+class _OmegaFields(NamedTuple):
+    c: float = DEFAULT_C
+    f_mode: str = "log"
+    f_const: float = 0.0
+    strict: bool = False
+
+
+class OmegaSpec(_OmegaFields):
     """Parameters of the large-first-part set Omega.
 
     The cut is lambda_1 >= c*sqrt(n)*(log n + f(n)) (or strictly >, with
     strict=True). f is the natural log by default; f_mode "const" uses the
     constant f_const instead.
     """
-    c: float = DEFAULT_C
-    f_mode: str = "log"
-    f_const: float = 0.0
-    strict: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.c > 0:
             raise ValueError(f"threshold constant must be positive, got {self.c}")
         if self.f_mode not in ("log", "const"):
             raise ValueError(f"f_mode must be 'log' or 'const', got {self.f_mode!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__
+        return cls(*iterable)
 
     def f_value(self, n: int) -> float:
         return math.log(n) if self.f_mode == "log" else self.f_const
@@ -126,8 +136,7 @@ def exact_pzero(n: int, cap: int | None = None) -> Fraction:
     return total / pt.partition_count(n)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Everything the two-sided bound needs, exact.
 
     lower_bound = q_n - r_n may be negative (the bound is then vacuous);
@@ -240,8 +249,7 @@ def ks_distance(values, cdf) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class GoncharovSample:
+class GoncharovSample(NamedTuple):
     """Normalized cycle counts of sampled permutations plus their KS
     distance to the limit law.
     """

@@ -1,5 +1,6 @@
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -351,3 +352,30 @@ def test_table_commands_import_no_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "s8.json").exists()
+
+
+_STARTUP = """
+import sys
+before = set(sys.modules)
+import snchar.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_or_json():
+    # dataclasses (with inspect, ast and dis), the dataclass decorations and
+    # json made up about 25 ms of every CLI process (bound 70 --no-exact:
+    # 133 -> 107 ms); json is imported where a command reads or writes it
+    src = os.path.dirname(os.path.dirname(snchar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert not {"dataclasses", "json"} & added
+    # the module graph stays eager: perfbench's tracer instruments only the
+    # snchar modules that are loaded once snchar.cli is imported
+    submodules = {f"snchar.{m.name}" for m in pkgutil.iter_modules(snchar.__path__)}
+    assert submodules <= added

@@ -57,6 +57,15 @@ class TestLoader:
         doc["table"][1][2] = {"num": "4", "den": "2"}
         assert load(doc).table[1][2] == 2
 
+    def test_only_rational_entries_are_fractions(self):
+        doc = s3_doc()
+        doc["table"][0][0] = 1
+        doc["table"][1][2] = {"num": "4", "den": "2"}
+        table = load(doc).table
+        assert type(table[0][0]) is int and type(table[0][1]) is int
+        assert type(table[1][2]) is Fraction
+        assert sum(type(v) is int for row in table for v in row) == 8
+
     def test_reads_streams(self, tmp_path):
         path = tmp_path / "s3.json"
         path.write_text(json.dumps(s3_doc()))
@@ -115,6 +124,16 @@ class TestLoader:
         doc["table"][1][1] = "1"  # breaks the (2-1) column
         with pytest.raises(ValueError, match="orthogonality.*2-1"):
             load(doc)
+
+    @pytest.mark.parametrize("entry, got", [("1", "3"), ({"num": "1", "den": "2"}, "9/4")])
+    def test_orthogonality_message(self, entry, got):
+        doc = s3_doc()
+        doc["table"][1][1] = entry
+        with pytest.raises(ValueError) as err:
+            load(doc)
+        assert str(err.value) == (
+            f"column orthogonality fails at class '2-1': sum of squares {got}, expected 2"
+        )
 
 
 class TestDefaultOmega:
