@@ -77,6 +77,7 @@ def mn_value(shape, mu) -> int:
 def _sweep(beads: int, mu) -> int:
     """mn_value without its checks: the signed count of ways to empty the
     shape with bead mask beads by removing strips of lengths mu in order.
+    It stops at 0 as soon as a layer has no shape left.
     """
     layer = {beads: 1}
     for t in mu:
@@ -84,6 +85,8 @@ def _sweep(beads: int, mu) -> int:
         for mask, c in layer.items():
             for moved, sign in _strips(mask, t):
                 nxt[moved] = nxt.get(moved, 0) + sign * c
+        if not nxt:
+            return 0
         layer = nxt
     return layer.get(0, 0)
 

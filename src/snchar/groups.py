@@ -260,9 +260,11 @@ def best_omega_check(data: ClassData, seed: int = 0) -> OmegaCheckRecord:
 
     Q - R = sum over chosen classes of w_K/(k*|G|) with integer weights
     w_K = k*size(K) - |G|, so subsets are scanned with integer arithmetic
-    only. k <= 20 is exhaustive (Gray-code single-flip updates); larger k
-    falls back to random subsets, which can only confirm, not prove,
-    maximality.
+    only. k <= 20 is exhaustive (Gray-code single-flip updates). Larger k
+    scans random subsets, but that scan can never change the result: best
+    starts at default_w, the sum of the nonnegative weights, which bounds
+    every subset sum, so the sampled branch always reports
+    max_value = default_value (the greedy maximum, proved by that bound).
     """
     k = data.num_classes
     scale = k * data.order

@@ -5,9 +5,10 @@ that identify conjugacy classes of the symmetric group by cycle type.
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the unique partition of 0. The canonical order used everywhere
 (table axes, sampling) is descending lexicographic on the part sequence,
-so (n) comes first and (1,...,1) last. It has one definition: unrank reads
-the partition at rank r off the counting table of count_rows, and
-enumerate_partitions lists unrank(n, r) for r = 0, ..., p_n - 1.
+so (n) comes first and (1,...,1) last. It has one definition: parts_at
+reads the parts of the partition at rank r off the counting table of
+count_rows, unrank collects them, and enumerate_partitions lists
+unrank(n, r) for r = 0, ..., p_n - 1.
 
 All counts use Python's arbitrary-precision ints. The only memo is
 _pn_cache, the partition counts; the counting table of count_rows is built
@@ -16,6 +17,7 @@ per call and owned by the caller.
 
 import os
 from bisect import bisect_left
+from collections.abc import Iterator
 from itertools import accumulate
 from math import factorial
 
@@ -148,7 +150,15 @@ def unrank(n: int, r: int, rows: list[list[int]] | None = None) -> Partition:
         rows = count_rows(n)
     if not 0 <= r < rows[n][n]:
         raise ValueError(f"rank {r} out of bounds for n={n} (p_n={rows[n][n]})")
-    parts = []
+    return tuple(parts_at(n, r, rows))
+
+
+def parts_at(n: int, r: int, rows: list[list[int]]) -> Iterator[int]:
+    """Yield the parts of the partition of n at canonical rank r, largest
+    first, one bisect each; unrank without its checks, for callers that
+    may stop reading early. Needs 0 <= r < p_n and rows = count_rows(m)
+    for some m >= n.
+    """
     remaining = bound = n
     while remaining:
         # row[b] - row[k] partitions of `remaining` have first part in (k, b]
@@ -156,10 +166,9 @@ def unrank(n: int, r: int, rows: list[list[int]] | None = None) -> Partition:
         b = bound if bound < remaining else remaining
         k = bisect_left(row, row[b] - r, 1, b + 1)
         r -= row[b] - row[k]
-        parts.append(k)
+        yield k
         bound = k
         remaining -= k
-    return tuple(parts)
 
 
 # -- class-theoretic attributes ----------------------------------------------

@@ -20,10 +20,17 @@ Two samplers:
 * random_cycle_type draws the cycle type of a uniform permutation of S_n
   without building the permutation: repeatedly pick a cycle length uniform
   on {1..r} where r cells remain. The resulting distribution on partitions
-  is exactly 1/z_lambda.
+  is exactly 1/z_lambda. Stream.cycle_lengths makes those draws with the
+  stream's buffer held in locals, consuming the words exactly as one
+  below(r) call per cycle would.
 * uniform_partition draws a partition of n uniformly among all p_n of
   them, by rejection-sampling an integer rank below p_n and unranking it
   with one bisect per part in a pt.count_rows table.
+
+The Monte Carlo loop of vanishing.montecarlo_pzero makes the same draws in
+the same order (rank, then cycle type) but reads the shape's parts one at a
+time from pt.parts_at, and stops reading once no hook of the shape can be
+as long as the longest cycle: the character value is then 0.
 """
 
 import sys
@@ -161,6 +168,49 @@ class Stream:
             return self._word()
         raise ValueError("bound must be at most 2^64")
 
+    def cycle_lengths(self, n: int) -> list[int]:
+        """Cycle type of a uniform element of S_n, n >= 1, largest first.
+
+        While r cells remain, the next cycle length is below(r) + 1, drawn
+        exactly as those below calls draw it: r = 1 takes nothing, r up to
+        2^32 takes halves by Lemire's rule (the buffer and the word index
+        held in locals), and r > 2^32 goes through below's 64-bit path.
+        """
+        parts = []
+        r = n
+        while r > 1 << 32:
+            c = self.below(r) + 1
+            parts.append(c)
+            r -= c
+        words, i, high = self._words, self._next, self._high
+        while r > 1:
+            if high is None:
+                if i == len(words):
+                    words = next(self._chunks)
+                    i = 0
+                word = words[i]
+                i += 1
+                m = (word & MASK32) * r
+                high = word >> 32
+            else:
+                m = high * r
+                high = None
+            if m & MASK32 < r:
+                floor = (1 << 32) % r
+                if m & MASK32 < floor:  # rejected: redraw through _half
+                    self._words, self._next, self._high = words, i, high
+                    while m & MASK32 < floor:
+                        m = self._half() * r
+                    words, i, high = self._words, self._next, self._high
+            c = (m >> 32) + 1
+            parts.append(c)
+            r -= c
+        if r:
+            parts.append(1)
+        self._words, self._next, self._high = words, i, high
+        parts.sort(reverse=True)
+        return parts
+
     def bytes(self, length: int) -> bytes:
         """Generator.bytes(length): little-endian 32-bit halves, cut to
         length. numpy counts the halves with C division, so length 0
@@ -223,14 +273,7 @@ def random_cycle_type(n: int, rng: Stream) -> Partition:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    parts = []
-    remaining = n
-    while remaining:
-        c = rng.below(remaining) + 1
-        parts.append(c)
-        remaining -= c
-    parts.sort(reverse=True)
-    return tuple(parts)
+    return tuple(rng.cycle_lengths(n))
 
 
 def uniform_partition(n: int, rng: Stream,

@@ -200,13 +200,21 @@ def lemma_bound(
 
 def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
                      cap: int | None = None) -> SampleSummary:
-    """Estimate P_n by sampling: chi uniform over partitions (unranked
-    uniform rank), g by random cycle type, value by mn_value's layer
-    sweep, which keeps nothing between samples. The sampled partitions
-    are valid by construction, so the sweep runs without mn_value's
-    checks. The ranking table that unranks the draws is built once for
-    the whole run; it has (n + 1)(n + 2)/2 entries, which must fit the
-    enumeration cap.
+    """Estimate P_n by sampling: chi uniform over partitions (a uniform
+    rank), g by random cycle type mu, value by mn_value's layer sweep,
+    which keeps nothing between samples.
+
+    A t-strip can come off a shape only along a hook of length t, and
+    every hook is at most lambda_1 + l(lambda) - 1. The parts of the shape
+    are read largest first from the rank; with j parts read and s cells
+    left, l(lambda) <= j + s, so once lambda_1 + j + s - 1 < t = mu_1 the
+    value is 0 and the sample counts as a zero without reading further.
+    Otherwise the bead mask built from the parts goes to the sweep, which
+    skips mn_value's checks: the shape and mu are valid by construction.
+    The draws (rank, then mu) are those of uniform_partition and
+    random_cycle_type. The ranking table is built once for the whole
+    run; it has (n + 1)(n + 2)/2 entries, which must fit the enumeration
+    cap.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -214,13 +222,30 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
         raise ValueError("samples must be >= 1")
     zeros = 0
     rows = pt.count_rows(n, cap)
+    pn = rows[n][n]
     for block, count in sp.block_plan(samples):
         rng = sp.substream(seed, block)
         for _ in range(count):
-            shape = sp.uniform_partition(n, rng, rows)
-            mu = sp.random_cycle_type(n, rng)
-            if ch._sweep(ch._beads(shape), mu) == 0:
-                zeros += 1
+            r = sp.uniform_below(pn, rng)
+            mu = rng.cycle_lengths(n)
+            t = mu[0]
+            parts = pt.parts_at(n, r, rows)
+            last = next(parts)
+            # reach bounds the largest hook: lambda_1 + (parts read)
+            # + (cells left) - 1, which is n after the first part
+            beads, reach = 1, n
+            for k in parts:
+                reach -= k - 1
+                if reach < t:
+                    break
+                # a part's bead sits at part + (parts after it); the mask
+                # holds it less the latest part, added back by the last shift
+                beads = beads << (last - k + 1) | 1
+                last = k
+            else:
+                if ch._sweep(beads << last, mu):
+                    continue
+            zeros += 1
     est = zeros / samples
     se = math.sqrt(est * (1.0 - est) / samples)
     return SampleSummary(
@@ -274,7 +299,7 @@ def goncharov_experiment(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> G
     for block, count in sp.block_plan(samples):
         rng = sp.substream(seed, block)
         for _ in range(count):
-            m = len(sp.random_cycle_type(n, rng))
+            m = len(rng.cycle_lengths(n))
             vals.append((m - center) / scale)
     return GoncharovSample(
         n=n, sample_count=samples, seed=seed,
@@ -296,7 +321,7 @@ def long_cycle_frequency(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> S
     for block, count in sp.block_plan(samples):
         rng = sp.substream(seed, block)
         for _ in range(count):
-            if sp.random_cycle_type(n, rng)[0] >= threshold:
+            if rng.cycle_lengths(n)[0] >= threshold:
                 hits += 1
     est = hits / samples
     se = math.sqrt(est * (1.0 - est) / samples)

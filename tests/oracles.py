@@ -6,7 +6,7 @@ products, not strip removal; class data comes from enumerating actual
 permutations; tableau counts come from corner-removal recursion, not hook
 products. Feasible for small n only.
 
-Three exceptions are former package code, kept verbatim as the reference
+Four exceptions are former package code, kept verbatim as the reference
 for the fast path that replaced it:
 
 - reference_mn, the strip-removal kernel on sorted beta lists, for the
@@ -18,7 +18,13 @@ for the fast path that replaced it:
 - count_with_max_part (with its memo dict _le_cache, now the oracle's own)
   and reference_unrank, the scan over first parts that calls it, for the
   count table and bisect of partitions.count_rows and unrank. They use the
-  package's partition count only for unrank's bounds check.
+  package's partition count only for unrank's bounds check;
+- reference_cycle_type, one Stream.below call per cycle, for
+  Stream.cycle_lengths, and montecarlo_zeros, the Monte Carlo loop that
+  unranks every shape in full and evaluates mn_value, for the loop of
+  vanishing.montecarlo_pzero that stops once no hook can hold the
+  longest cycle. They draw from the package's Stream and unrank with its
+  uniform_partition, which the tests check on their own.
 """
 
 import itertools
@@ -26,7 +32,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from snchar import characters as ch
 from snchar import partitions as pt
+from snchar import sampling as sp
 
 
 # -- permutations and classes --------------------------------------------------
@@ -295,6 +303,40 @@ def reference_unrank(n: int, r: int) -> tuple:
                 break
             r -= c
     return tuple(parts)
+
+
+# -- Monte Carlo draws one call at a time ---------------------------------------
+
+def reference_cycle_type(n: int, rng) -> tuple:
+    """Cycle type of a uniform element of S_n: while r cells remain, the
+    next cycle length is rng.below(r) + 1.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    parts = []
+    remaining = n
+    while remaining:
+        c = rng.below(remaining) + 1
+        parts.append(c)
+        remaining -= c
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
+def montecarlo_zeros(n: int, samples: int, seed: int) -> int:
+    """Zero count of the Monte Carlo estimate of P_n: each sample unranks
+    a uniform shape in full, draws a cycle type and evaluates mn_value.
+    """
+    rows = pt.count_rows(n)
+    zeros = 0
+    for block, count in sp.block_plan(samples):
+        rng = sp.substream(seed, block)
+        for _ in range(count):
+            shape = sp.uniform_partition(n, rng, rows)
+            mu = reference_cycle_type(n, rng)
+            if ch.mn_value(shape, mu) == 0:
+                zeros += 1
+    return zeros
 
 
 # -- Omega by enumeration -------------------------------------------------------

@@ -1,0 +1,154 @@
+"""The Monte Carlo fast path against the draws and loop it replaced.
+
+Stream.cycle_lengths must consume a stream exactly as one Stream.below
+call per cycle does, and montecarlo_pzero, which stops reading a shape
+once no hook of it can hold the longest cycle, must count the zeros of
+the loop that unranks every shape in full. Nothing here needs numpy.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles as orc
+from snchar import groups as gr
+from snchar import partitions as pt
+from snchar import sampling as sp
+from snchar import vanishing as vn
+
+
+def _hand_chunks(words: list[int], size: int):
+    """words cut into lists of size, then an endless tail of fixed words
+    with no zero half."""
+    for i in range(0, len(words), size):
+        yield words[i:i + size]
+    rnd = random.Random(1)
+    while True:
+        yield [rnd.getrandbits(64) | 1 << 32 | 1 for _ in range(size)]
+
+
+def _pair(words: list[int], size: int = 3):
+    return sp.Stream(_hand_chunks(words, size)), sp.Stream(_hand_chunks(words, size))
+
+
+def _state_after(stream: sp.Stream) -> tuple:
+    """The buffer, then draws that read both halves and whole words."""
+    return (stream._high, stream.below(7), stream.below(2**64),
+            stream.below(2**40), stream.below(1000), stream.below(2**64))
+
+
+def _agree(fast: sp.Stream, ref: sp.Stream, n: int) -> list[int]:
+    got = fast.cycle_lengths(n)
+    want = orc.reference_cycle_type(n, ref)
+    assert tuple(got) == want, n
+    assert got == sorted(got, reverse=True) and sum(got) == n
+    assert _state_after(fast) == _state_after(ref), n
+    return got
+
+
+class TestCycleLengthsDrawForDraw:
+    def test_forced_lemire_rejections(self):
+        # a zero half is rejected for every bound that is not a power of two;
+        # the chunks hold 3 words, so rejections straddle refills
+        rnd = random.Random(7)
+        for trial in range(200):
+            words = []
+            for _ in range(rnd.randrange(1, 40)):
+                lo = 0 if rnd.random() < 0.4 else rnd.getrandbits(32)
+                hi = 0 if rnd.random() < 0.4 else rnd.getrandbits(32)
+                words.append(hi << 32 | lo)
+            for n in (1, 2, 3, 17, 100, 2**31 + 1):
+                fast, ref = _pair(words, rnd.choice((1, 2, 3, 5)))
+                if trial % 2:  # start with a high half waiting in the buffer
+                    assert fast.below(5) == ref.below(5)
+                _agree(fast, ref, n)
+
+    def test_zero_words_only(self):
+        # 12 zero halves in a row: every non-power-of-two bound redraws
+        fast, ref = _pair([0] * 6)
+        _agree(fast, ref, 1000)
+
+    def test_bound_one_draws_nothing(self):
+        fast, ref = _pair([5 << 32 | 9])
+        assert fast.cycle_lengths(1) == [1]
+        assert fast._next == 0 and fast._high is None
+        assert _state_after(fast) == _state_after(ref)
+
+    def test_64_bit_fallback(self):
+        # r > 2^32 takes whole words and leaves the half buffer alone; small
+        # words give cycles of length 1, so r stays above 2^32 for several
+        # draws, a zero word is rejected on the 64-bit path, and 2^32 + 1
+        # steps down to exactly 2^32, a raw half
+        small = [1 << 20, 1 << 21, 0, 1 << 22]
+        for n in (2**32 + 5, 2**32 + 1, 2**32):
+            for lead in ([], [3 << 32 | 8]):
+                fast, ref = _pair(lead + small + [0xDEADBEEF << 32 | 12345], 2)
+                if lead:
+                    assert fast.below(9) == ref.below(9)
+                got = _agree(fast, ref, n)
+                if n == 2**32 + 5:
+                    assert got.count(1) >= 3
+
+    def test_64_bit_fallback_on_philox(self):
+        for seed in (0, 1, 2**63 + 5):
+            fast, ref = sp.substream(seed, 3), sp.substream(seed, 3)
+            for _ in range(20):
+                got = _agree(fast, ref, 2**32 + 5)
+                assert len(got) < 60
+
+    def test_philox_streams(self):
+        rnd = random.Random(3)
+        for seed in (1, 2**64 - 1):
+            fast, ref = sp.substream(seed, 0), sp.substream(seed, 0)
+            for _ in range(400):
+                _agree(fast, ref, rnd.choice((1, 2, 5, 20, 100, 10_000)))
+
+
+class TestPartsAt:
+    def test_every_rank_up_to_14(self):
+        rows = pt.count_rows(14)
+        for n in range(15):
+            listed = pt.enumerate_partitions(n)
+            assert listed == orc._lex_desc_partitions(n)
+            for r, lam in enumerate(listed):
+                assert tuple(pt.parts_at(n, r, rows)) == lam
+                assert pt.unrank(n, r, rows) == lam
+
+
+class TestMontecarloAgainstFullLoop:
+    SAMPLES = {1: 300, 2: 300, 3: 600, 7: 1500, 20: 1500, 60: 800, 150: 400}
+
+    @pytest.mark.parametrize("n", sorted(SAMPLES))
+    @pytest.mark.parametrize("seed", (5, 2**63 + 11))
+    def test_zero_counts(self, n, seed):
+        samples = self.SAMPLES[n]
+        got = vn.montecarlo_pzero(n, samples, seed=seed)
+        assert got.extra["zeros"] == orc.montecarlo_zeros(n, samples, seed)
+
+    def test_across_a_block_boundary(self):
+        samples = sp.BLOCK_SIZE + 200
+        got = vn.montecarlo_pzero(5, samples, seed=3)
+        assert got.extra["zeros"] == orc.montecarlo_zeros(5, samples, 3)
+
+
+class TestSampledOmegaCheck:
+    def test_max_is_the_greedy_sum(self):
+        # 25 classes take the sampled branch; weights k*size - order of both
+        # signs. best starts at the sum of the nonnegative weights, which
+        # bounds every subset sum, so no sampled subset can move it.
+        sizes = (1,) * 15 + (2,) * 5 + (10, 20, 30, 40, 50)
+        k, order = len(sizes), sum(sizes)
+        data = gr.ClassData(
+            group_name="mock", order=order,
+            class_names=tuple(f"c{i}" for i in range(k)),
+            class_sizes=sizes,
+        )
+        weights = [k * s - order for s in sizes]
+        assert min(weights) < 0 < max(weights)
+        rec = gr.best_omega_check(data)
+        assert rec.method == "sampled"
+        assert rec.subsets_checked == gr.SAMPLED_SUBSETS
+        assert rec.max_value == Fraction(sum(max(w, 0) for w in weights), k * order)
+        assert rec.max_value == rec.default_value
+        assert rec.default_is_max
