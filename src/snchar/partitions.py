@@ -32,11 +32,18 @@ class CapExceededError(RuntimeError):
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit value, else env override, else default."""
+    """Resolve the enumeration cap: explicit value, else env override (an
+    integer >= 1, like --cap), else default."""
     if cap is not None:
         return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_CAP
+    env = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_CAP)
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 1, got {env!r}")
+    return limit
 
 
 def as_partition(parts) -> Partition:

@@ -5,7 +5,8 @@ et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). A run is
 identified by a 64-bit seed; sample index space is split into fixed-size
 blocks and block i draws from the substream keyed by (seed, i).
 Substreams are independent by construction, so results depend only on
-(seed, sample index).
+(seed, sample index). map_blocks shares the blocks of a run among forked
+workers, one per further CPU; the results never depend on how.
 
 The generator is plain Python: one refill computes CHUNK words as 128
 counters side by side in the 128-bit lanes of four big ints, word for word
@@ -33,7 +34,10 @@ time from pt.parts_at, and stops reading once no hook of the shape can be
 as long as the longest cycle: the character value is then 0.
 """
 
+import marshal
+import os
 import sys
+import threading
 from array import array
 from typing import NamedTuple
 
@@ -241,6 +245,63 @@ def block_plan(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]
         total -= take
         i += 1
     return plan
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def map_blocks(seed: int, samples: int, draw) -> list:
+    """[draw(substream(seed, b), count) for b, count in block_plan(samples)].
+
+    The blocks are dealt into min(blocks, CPUs) shares. This process runs
+    the first; a forked worker runs each other one, marshals its results
+    down a pipe and ends in os._exit, nonzero if it failed, which raises
+    RuntimeError here. Every worker is reaped, so its CPU time counts in
+    this process's children, and is killed first on any exception here.
+    One share when os.fork is missing or other threads run.
+    """
+    plan = block_plan(samples)
+    ways = 1  # forking beside other threads is unsafe
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        ways = max(1, min(len(plan), _cpus()))
+    # every block but the last is full, so dealing them out in turn gives
+    # each block, largest first, to the least loaded share
+    shares = [plan[i::ways] for i in range(ways)]
+
+    def run(share):
+        return {b: draw(substream(seed, b), count) for b, count in share}
+
+    workers = []  # (pid, read end of its pipe, closed once reaped)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(w, "wb") as out:
+                        out.write(marshal.dumps(run(share)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # reached only if the work raised
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        results = run(shares[0])
+        for pid, pipe in workers:
+            with pipe:
+                data, status = pipe.read(), os.waitpid(pid, 0)[1]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"a Monte Carlo worker failed (exit code {code})")
+            results.update(marshal.loads(data))
+    finally:
+        for pid, pipe in workers:
+            if not pipe.closed:
+                pipe.close()
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+    return [results[b] for b, _ in plan]
 
 
 def uniform_below(bound: int, rng: Stream) -> int:

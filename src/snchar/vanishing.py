@@ -213,18 +213,18 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
     skips mn_value's checks: the shape and mu are valid by construction.
     The draws (rank, then mu) are those of uniform_partition and
     random_cycle_type. The ranking table is built once for the whole
-    run; it has (n + 1)(n + 2)/2 entries, which must fit the enumeration
-    cap.
+    run, before sp.map_blocks forks, and shared copy-on-write; it has
+    (n + 1)(n + 2)/2 entries, which must fit the enumeration cap.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    zeros = 0
     rows = pt.count_rows(n, cap)
     pn = rows[n][n]
-    for block, count in sp.block_plan(samples):
-        rng = sp.substream(seed, block)
+
+    def block_zeros(rng, count):
+        zeros = 0
         for _ in range(count):
             r = sp.uniform_below(pn, rng)
             mu = rng.cycle_lengths(n)
@@ -246,6 +246,8 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
                 if ch._sweep(beads << last, mu):
                     continue
             zeros += 1
+        return zeros
+    zeros = sum(sp.map_blocks(seed, samples, block_zeros))
     est = zeros / samples
     se = math.sqrt(est * (1.0 - est) / samples)
     return SampleSummary(
@@ -287,7 +289,7 @@ class GoncharovSample(NamedTuple):
 
 def goncharov_experiment(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> GoncharovSample:
     """Sample cycle counts m of uniform permutations of S_n and normalize
-    as (m - log n)/sqrt(2 log n).
+    as (m - log n)/sqrt(2 log n), block by block through sp.map_blocks.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -295,12 +297,10 @@ def goncharov_experiment(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> G
         raise ValueError("samples must be >= 1")
     center = math.log(n)
     scale = math.sqrt(2.0 * center)
-    vals = []
-    for block, count in sp.block_plan(samples):
-        rng = sp.substream(seed, block)
-        for _ in range(count):
-            m = len(rng.cycle_lengths(n))
-            vals.append((m - center) / scale)
+
+    def block_values(rng, count):
+        return [(len(rng.cycle_lengths(n)) - center) / scale for _ in range(count)]
+    vals = [v for block in sp.map_blocks(seed, samples, block_values) for v in block]
     return GoncharovSample(
         n=n, sample_count=samples, seed=seed,
         normalized_values=tuple(vals),
@@ -310,19 +310,17 @@ def goncharov_experiment(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> G
 
 def long_cycle_frequency(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> SampleSummary:
     """Empirical probability that a uniform permutation of S_n has a cycle
-    of length at least n/(2 log n).
+    of length at least n/(2 log n), counted block by block by sp.map_blocks.
     """
     if n < 3:
         raise ValueError("n must be >= 3 (threshold needs log n > 0)")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     threshold = n / (2.0 * math.log(n))
-    hits = 0
-    for block, count in sp.block_plan(samples):
-        rng = sp.substream(seed, block)
-        for _ in range(count):
-            if rng.cycle_lengths(n)[0] >= threshold:
-                hits += 1
+
+    def block_hits(rng, count):
+        return sum(rng.cycle_lengths(n)[0] >= threshold for _ in range(count))
+    hits = sum(sp.map_blocks(seed, samples, block_hits))
     est = hits / samples
     se = math.sqrt(est * (1.0 - est) / samples)
     return SampleSummary(

@@ -81,6 +81,15 @@ class TestExitCodes:
         assert "5151 entries" in capsys.readouterr().err
         assert cli.run(["mc-pzero", "100", "--samples", "1", "--cap", "5151"]) == 0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_env_cap(self, capsys, monkeypatch, value):
+        # validated like --cap, and the message names the variable
+        monkeypatch.setenv("SNCHAR_CAP", value)
+        assert cli.run(["pzero", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: SNCHAR_CAP must be an integer >= 1, got {value!r}\n"
+        assert captured.out == ""
+
     def test_unwritable_output(self, capsys, tmp_path):
         path = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert cli.run(["table", "8", "--output", path]) == 2

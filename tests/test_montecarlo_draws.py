@@ -3,10 +3,15 @@
 Stream.cycle_lengths must consume a stream exactly as one Stream.below
 call per cycle does, and montecarlo_pzero, which stops reading a shape
 once no hook of it can hold the longest cycle, must count the zeros of
-the loop that unranks every shape in full. Nothing here needs numpy.
+the loop that unranks every shape in full. The samplers' blocks, shared
+among forked workers by sampling.map_blocks, must give the results of
+one process at any worker count. Nothing here needs numpy.
 """
 
+import os
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -130,6 +135,114 @@ class TestMontecarloAgainstFullLoop:
         samples = sp.BLOCK_SIZE + 200
         got = vn.montecarlo_pzero(5, samples, seed=3)
         assert got.extra["zeros"] == orc.montecarlo_zeros(5, samples, 3)
+
+
+def _workers(monkeypatch, ways: int) -> list[int]:
+    """Make map_blocks see ways CPUs; the returned list grows by one per fork."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(sp, "_cpus", lambda: ways)
+    monkeypatch.setattr(sp.os, "fork", counted)
+    return forks
+
+
+_SAMPLERS = {
+    "mc-pzero": lambda samples: vn.montecarlo_pzero(6, samples, seed=4),
+    "goncharov": lambda samples: vn.goncharov_experiment(30, samples, seed=4),
+    "long-cycle": lambda samples: vn.long_cycle_frequency(30, samples, seed=4),
+}
+
+
+class TestWorkers:
+    BLOCK = 64  # small blocks keep 4-block runs quick; the streams stay keyed by block
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        plan = sp.block_plan
+        monkeypatch.setattr(sp, "block_plan", lambda total: plan(total, self.BLOCK))
+
+    @pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+    @pytest.mark.parametrize("blocks", (1, 2, 4))
+    def test_any_worker_count_gives_the_serial_result(self, monkeypatch, small_blocks,
+                                                      sampler, blocks):
+        run = _SAMPLERS[sampler]
+        samples = (blocks - 1) * self.BLOCK + 17  # an uneven tail block
+        _workers(monkeypatch, 1)
+        want = run(samples)
+        for ways in (2, 3):
+            forks = _workers(monkeypatch, ways)
+            assert run(samples) == want, ways
+            assert len(forks) == min(blocks, ways) - 1
+
+    def test_three_blocks_match_the_full_loop(self, monkeypatch):
+        samples = 2 * sp.BLOCK_SIZE + 100
+        forks = _workers(monkeypatch, 3)
+        got = vn.montecarlo_pzero(4, samples, seed=8)
+        assert len(forks) == 2
+        assert got.extra["zeros"] == orc.montecarlo_zeros(4, samples, 8)
+
+    def test_results_come_in_block_order(self, monkeypatch):
+        # the 848-sample tail goes to the less loaded share, yet comes last
+        _workers(monkeypatch, 2)
+        got = sp.map_blocks(1, 50_000, lambda rng, count: [count, rng.below(2**64)])
+        want = [[count, sp.substream(1, block).below(2**64)]
+                for block, count in sp.block_plan(50_000)]
+        assert got == want
+
+    def test_failed_worker_raises_and_is_reaped(self, monkeypatch):
+        _workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def draw(rng, count):
+            if os.getpid() != parent:
+                raise ValueError("worker fails")
+            return count
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            sp.map_blocks(1, 3 * sp.BLOCK_SIZE, draw)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupted_parent_kills_its_workers(self, monkeypatch):
+        _workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def draw(rng, count):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sp.map_blocks(1, 3 * sp.BLOCK_SIZE, draw)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_serial_from_a_second_thread(self, monkeypatch):
+        forks = _workers(monkeypatch, 3)
+        samples = 2 * sp.BLOCK_SIZE + 5
+        got = []
+        thread = threading.Thread(
+            target=lambda: got.append(vn.long_cycle_frequency(10, samples, seed=2)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not forks
+        want = vn.long_cycle_frequency(10, samples, seed=2)
+        assert len(forks) == 2
+        assert got == [want]
+
+    def test_serial_without_fork(self, monkeypatch):
+        _workers(monkeypatch, 3)
+        monkeypatch.delattr(sp.os, "fork")
+        got = sp.map_blocks(5, 2 * sp.BLOCK_SIZE + 1, lambda rng, count: count)
+        assert got == [sp.BLOCK_SIZE, sp.BLOCK_SIZE, 1]
 
 
 class TestSampledOmegaCheck:

@@ -1,6 +1,8 @@
 import math
 import random
+import types
 import warnings
+from array import array
 from fractions import Fraction
 from itertools import islice
 
@@ -121,6 +123,22 @@ class TestPhiloxOracle:
             want = [(x >> 128 * i) & sp.MASK64 for i in range(sp.LANES)]
             assert sp.lane_words(x).tolist() == want
 
+
+    def test_lane_words_on_a_big_endian_host(self, monkeypatch):
+        # emulated: array reads the little-endian bytes big-endian, as it
+        # would there, and lane_words must swap them back
+        def big_endian_array(typecode, data):
+            words = array(typecode, data)
+            words.byteswap()
+            return words
+
+        monkeypatch.setattr(sp, "sys", types.SimpleNamespace(byteorder="big"))
+        monkeypatch.setattr(sp, "array", big_endian_array)
+        rnd = random.Random(SEED)
+        for x in (1, 1 << 128 * (sp.LANES - 1) | 0x0102030405060708,
+                  rnd.getrandbits(128 * sp.LANES)):
+            want = [(x >> 128 * i) & sp.MASK64 for i in range(sp.LANES)]
+            assert sp.lane_words(x).tolist() == want
 
 class TestStreamOracle:
     """Stream draws equal numpy's Generator draws on the same key."""
