@@ -149,10 +149,12 @@ class CharacterTable(NamedTuple):
 def check_table_cap(n: int, cap: int | None = None) -> None:
     """Fail before any table work unless the p_n^2 entries fit the cap."""
     limit = pt.enumeration_cap(cap)
-    pn = pt.partition_count(n)
-    if pn * pn > limit:
+    m = pt.first_count_over(n, limit)  # m < n has p_m^2 > p_m > limit
+    pm = pt.partition_count(m)
+    if pm * pm > limit:
+        need = "p_n^2" if m == n else f"p_n^2 > p_{m}^2"
         raise CapExceededError(
-            f"a table for n={n} needs p_n^2 = {pn * pn} entries"
+            f"a table for n={n} needs {need} = {pm * pm} entries"
             f" (exceeds cap {limit})"
         )
 

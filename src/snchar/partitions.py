@@ -77,24 +77,28 @@ def partition_count(n: int) -> int:
     got = _pn_cache.get(n)
     if got is not None:
         return got
-    top = max(_pn_cache)
-    vals = [_pn_cache[i] for i in range(top + 1)]
-    for m in range(top + 1, n + 1):
+    # the memo holds 0..top, so extending it by one m costs no copy of it
+    for m in range(len(_pn_cache), n + 1):
         total = 0
         k = 1
         while True:
             g = k * (3 * k - 1) // 2
             if g > m:
                 break
-            term = vals[m - g]
+            term = _pn_cache[m - g]
             g2 = g + k
             if g2 <= m:
-                term += vals[m - g2]
+                term += _pn_cache[m - g2]
             total += term if k % 2 else -term
             k += 1
-        vals.append(total)
         _pn_cache[m] = total
     return _pn_cache[n]
+
+
+def first_count_over(n: int, limit: int) -> int:
+    """The least m < n with p_m > limit, else n. p_m grows with m, so the
+    walk costs what the limit allows, not what n asks."""
+    return next((m for m in range(n) if partition_count(m) > limit), n)
 
 
 def count_rows(n: int, cap: int | None = None) -> list[list[int]]:
@@ -135,13 +139,14 @@ def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     limit = enumeration_cap(cap)
-    total = partition_count(n)
-    if total > limit:
+    m = first_count_over(n, limit)
+    if partition_count(m) > limit:
+        head = f"p_{n}" if m == n else f"p_{n} > p_{m}"
         raise CapExceededError(
-            f"p_{n} = {total} exceeds enumeration cap {limit}"
+            f"{head} = {partition_count(m)} exceeds enumeration cap {limit}"
         )
     rows = count_rows(n, cap)
-    return [unrank(n, r, rows) for r in range(total)]
+    return [unrank(n, r, rows) for r in range(rows[n][n])]
 
 
 def unrank(n: int, r: int, rows: list[list[int]] | None = None) -> Partition:

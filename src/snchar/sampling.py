@@ -29,9 +29,10 @@ Two samplers:
   with one bisect per part in a pt.count_rows table.
 
 The Monte Carlo loop of vanishing.montecarlo_pzero makes the same draws in
-the same order (rank, then cycle type) but reads the shape's parts one at a
-time from pt.parts_at, and stops reading once no hook of the shape can be
-as long as the longest cycle: the character value is then 0.
+the same order (rank, then cycle type). With 4 W samples per shape or more,
+W = share_count(samples), it looks the shape's bead mask up in a table built
+before the fork, else it reads the parts from pt.parts_at; a shape whose
+largest hook is shorter than the longest cycle is a zero without a sweep.
 """
 
 import marshal
@@ -252,20 +253,25 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def share_count(samples: int) -> int:
+    """min(blocks, CPUs), the shares map_blocks deals a run into; one if
+    os.fork is missing or other threads run (forking beside them is unsafe)."""
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        return max(1, min(len(block_plan(samples)), _cpus()))
+    return 1
+
+
 def map_blocks(seed: int, samples: int, draw) -> list:
     """[draw(substream(seed, b), count) for b, count in block_plan(samples)].
 
-    The blocks are dealt into min(blocks, CPUs) shares. This process runs
-    the first; a forked worker runs each other one, marshals its results
-    down a pipe and ends in os._exit, nonzero if it failed, which raises
+    The blocks go to share_count(samples) shares. This process runs the
+    first; a forked worker runs each other one, marshals its results down
+    a pipe and ends in os._exit, nonzero if it failed, which raises
     RuntimeError here. Every worker is reaped, so its CPU time counts in
     this process's children, and is killed first on any exception here.
-    One share when os.fork is missing or other threads run.
     """
     plan = block_plan(samples)
-    ways = 1  # forking beside other threads is unsafe
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        ways = max(1, min(len(plan), _cpus()))
+    ways = share_count(samples)
     # every block but the last is full, so dealing them out in turn gives
     # each block, largest first, to the least loaded share
     shares = [plan[i::ways] for i in range(ways)]

@@ -24,7 +24,7 @@ estimate. Logs are natural throughout.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -205,16 +205,17 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
     which keeps nothing between samples.
 
     A t-strip can come off a shape only along a hook of length t, and
-    every hook is at most lambda_1 + l(lambda) - 1. The parts of the shape
-    are read largest first from the rank; with j parts read and s cells
-    left, l(lambda) <= j + s, so once lambda_1 + j + s - 1 < t = mu_1 the
-    value is 0 and the sample counts as a zero without reading further.
-    Otherwise the bead mask built from the parts goes to the sweep, which
-    skips mn_value's checks: the shape and mu are valid by construction.
-    The draws (rank, then mu) are those of uniform_partition and
-    random_cycle_type. The ranking table is built once for the whole
-    run, before sp.map_blocks forks, and shared copy-on-write; it has
-    (n + 1)(n + 2)/2 entries, which must fit the enumeration cap.
+    every hook is at most lambda_1 + l(lambda) - 1. If 4 W p_n <= samples,
+    W = sp.share_count(samples), and p_n fits the cap, the masks of all p_n
+    shapes are built serially in canonical order (measured, that pays off
+    from about four samples per shape and share), and a sample looks its
+    mask up by rank: no bead b >= mu_1 over an empty b - mu_1 means no
+    hook of length mu_1. Else it reads its parts largest first from the
+    rank; with j parts read and s cells left, l(lambda) <= j + s, so it
+    stops once lambda_1 + j + s - 1 < mu_1. Such shapes are zeros without
+    a sweep; the sweep skips mn_value's checks. The draws (rank, then mu)
+    are those of uniform_partition and random_cycle_type. The tables are
+    built before sp.map_blocks forks and shared copy-on-write.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -222,31 +223,42 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
         raise ValueError("samples must be >= 1")
     rows = pt.count_rows(n, cap)
     pn = rows[n][n]
+    if 4 * sp.share_count(samples) * pn <= samples and pn <= pt.enumeration_cap(cap):
+        table = [ch._beads(sh) for sh in pt.enumerate_partitions(n, cap)]
 
-    def block_zeros(rng, count):
-        zeros = 0
-        for _ in range(count):
-            r = sp.uniform_below(pn, rng)
-            mu = rng.cycle_lengths(n)
-            t = mu[0]
-            parts = pt.parts_at(n, r, rows)
-            last = next(parts)
-            # reach bounds the largest hook: lambda_1 + (parts read)
-            # + (cells left) - 1, which is n after the first part
-            beads, reach = 1, n
-            for k in parts:
-                reach -= k - 1
-                if reach < t:
-                    break
-                # a part's bead sits at part + (parts after it); the mask
-                # holds it less the latest part, added back by the last shift
-                beads = beads << (last - k + 1) | 1
-                last = k
-            else:
-                if ch._sweep(beads << last, mu):
-                    continue
-            zeros += 1
-        return zeros
+        def block_zeros(rng, count):
+            zeros = 0
+            for _ in range(count):
+                beads = table[sp.uniform_below(pn, rng)]
+                mu = rng.cycle_lengths(n)
+                if not (beads >> mu[0]) & ~beads or not ch._sweep(beads, mu):
+                    zeros += 1
+            return zeros
+    else:
+        def block_zeros(rng, count):
+            zeros = 0
+            for _ in range(count):
+                r = sp.uniform_below(pn, rng)
+                mu = rng.cycle_lengths(n)
+                t = mu[0]
+                parts = pt.parts_at(n, r, rows)
+                last = next(parts)
+                # reach bounds the largest hook: lambda_1 + (parts read)
+                # + (cells left) - 1, which is n after the first part
+                beads, reach = 1, n
+                for k in parts:
+                    reach -= k - 1
+                    if reach < t:
+                        break
+                    # a part's bead sits at part + (parts after it); the mask
+                    # holds it less the latest part, added back by the last shift
+                    beads = beads << (last - k + 1) | 1
+                    last = k
+                else:
+                    if ch._sweep(beads << last, mu):
+                        continue
+                zeros += 1
+            return zeros
     zeros = sum(sp.map_blocks(seed, samples, block_zeros))
     est = zeros / samples
     se = math.sqrt(est * (1.0 - est) / samples)
@@ -264,15 +276,18 @@ def limit_cdf(x: float) -> float:
 
 
 def ks_distance(values, cdf) -> float:
-    """Two-sided one-sample Kolmogorov-Smirnov statistic of values vs cdf."""
-    xs = sorted(values)
-    m = len(xs)
+    """Two-sided one-sample Kolmogorov-Smirnov statistic of values vs cdf.
+    A run of c equal values from sorted index i has its extremes at
+    (i + c)/m - f and f - i/m, so cdf is read once per distinct value."""
+    counts = Counter(values)
+    m = counts.total()
     if m == 0:
         raise ValueError("need at least one value")
-    d = 0.0
-    for i, x in enumerate(xs):
+    d, i = 0.0, 0
+    for x, c in sorted(counts.items()):
         f = cdf(x)
-        d = max(d, (i + 1) / m - f, f - i / m)
+        d = max(d, (i + c) / m - f, f - i / m)
+        i += c
     return d
 
 

@@ -6,7 +6,7 @@ products, not strip removal; class data comes from enumerating actual
 permutations; tableau counts come from corner-removal recursion, not hook
 products. Feasible for small n only.
 
-Four exceptions are former package code, kept verbatim as the reference
+Five exceptions are former package code, kept verbatim as the reference
 for the fast path that replaced it:
 
 - reference_mn, the strip-removal kernel on sorted beta lists, for the
@@ -23,8 +23,11 @@ for the fast path that replaced it:
   Stream.cycle_lengths, and montecarlo_zeros, the Monte Carlo loop that
   unranks every shape in full and evaluates mn_value, for the loop of
   vanishing.montecarlo_pzero that stops once no hook can hold the
-  longest cycle. They draw from the package's Stream and unrank with its
-  uniform_partition, which the tests check on their own.
+  longest cycle or looks the shape's bead mask up in a table. They draw
+  from the package's Stream and unrank with its uniform_partition, which
+  the tests check on their own;
+- reference_ks_distance, which evaluates the CDF once per sample, for
+  vanishing.ks_distance, which evaluates it once per distinct value.
 """
 
 import itertools
@@ -337,6 +340,19 @@ def montecarlo_zeros(n: int, samples: int, seed: int) -> int:
             if ch.mn_value(shape, mu) == 0:
                 zeros += 1
     return zeros
+
+
+def reference_ks_distance(values, cdf) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov statistic of values vs cdf."""
+    xs = sorted(values)
+    m = len(xs)
+    if m == 0:
+        raise ValueError("need at least one value")
+    d = 0.0
+    for i, x in enumerate(xs):
+        f = cdf(x)
+        d = max(d, (i + 1) / m - f, f - i / m)
+    return d
 
 
 # -- Omega by enumeration -------------------------------------------------------

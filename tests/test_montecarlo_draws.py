@@ -2,8 +2,9 @@
 
 Stream.cycle_lengths must consume a stream exactly as one Stream.below
 call per cycle does, and montecarlo_pzero, which stops reading a shape
-once no hook of it can hold the longest cycle, must count the zeros of
-the loop that unranks every shape in full. The samplers' blocks, shared
+once no hook of it can hold the longest cycle or, with enough samples per
+shape, looks its bead mask up in a table, must count the zeros of the
+loop that unranks every shape in full. The samplers' blocks, shared
 among forked workers by sampling.map_blocks, must give the results of
 one process at any worker count. Nothing here needs numpy.
 """
@@ -243,6 +244,60 @@ class TestWorkers:
         monkeypatch.delattr(sp.os, "fork")
         got = sp.map_blocks(5, 2 * sp.BLOCK_SIZE + 1, lambda rng, count: count)
         assert got == [sp.BLOCK_SIZE, sp.BLOCK_SIZE, 1]
+
+
+def _mask_tables(monkeypatch) -> list[int]:
+    """Spy on montecarlo_pzero's path: the list gets p_n for each bead-mask
+    table built, and stays empty on the path that reads parts."""
+    built = []
+    enumerate_partitions = pt.enumerate_partitions
+
+    def spy(n, cap=None):
+        shapes = enumerate_partitions(n, cap)
+        built.append(len(shapes))
+        return shapes
+
+    monkeypatch.setattr(pt, "enumerate_partitions", spy)
+    return built
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 12, 20))
+    @pytest.mark.parametrize("seed", (5, 2**63 + 11))
+    def test_zero_counts_on_both_sides_of_the_rule(self, monkeypatch, n, seed):
+        # one block is one share, so the table is taken from 4 p_n samples on
+        built = _mask_tables(monkeypatch)
+        pn = pt.partition_count(n)
+        for samples in (pn, 4 * pn - 1, 4 * pn, 4 * pn + 37, 20 * pn):
+            built.clear()
+            got = vn.montecarlo_pzero(n, samples, seed=seed)
+            assert built == ([pn] if samples >= 4 * pn else []), samples
+            assert got.extra["zeros"] == orc.montecarlo_zeros(n, samples, seed), samples
+
+    def test_across_a_block_boundary_at_any_worker_count(self, monkeypatch):
+        # two blocks make two shares at 2 or 3 CPUs. At n = 12 every count
+        # takes the table; at n = 27, 4 W p_27 = 12,040 W takes it only at W = 1
+        samples = sp.BLOCK_SIZE + 200
+        built = _mask_tables(monkeypatch)
+        seed = 2**63 + 11
+        for n, table_at in ((12, (1, 2, 3)), (27, (1,))):
+            want = orc.montecarlo_zeros(n, samples, seed)
+            for ways in (1, 2, 3):
+                forks = _workers(monkeypatch, ways)
+                built.clear()
+                got = vn.montecarlo_pzero(n, samples, seed=seed)
+                assert len(forks) == min(2, ways) - 1
+                assert sp.share_count(samples) == min(2, ways)
+                assert built == ([pt.partition_count(n)] if ways in table_at else []), (n, ways)
+                assert got.extra["zeros"] == want, (n, ways)
+
+    def test_cap_keeps_the_parts_path(self, monkeypatch):
+        # p_20 = 627 shapes over a cap of 600: the ranking table fits, the
+        # masks do not, so the run reads parts and raises nothing
+        built = _mask_tables(monkeypatch)
+        got = vn.montecarlo_pzero(20, 5000, seed=5, cap=600)
+        assert built == []
+        assert got.extra["zeros"] == orc.montecarlo_zeros(20, 5000, 5)
 
 
 class TestSampledOmegaCheck:

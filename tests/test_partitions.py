@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as orc
+from snchar import characters as ch
 from snchar import partitions as pt
 
 # first values of the partition-count sequence, long known
@@ -115,6 +116,29 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(pt.CapExceededError):
             pt.enumerate_partitions(100, cap=1000)
+
+    def test_cap_refusal_costs_what_the_cap_allows(self, monkeypatch):
+        # p_77 = 10,619,863 is the first count over the default cap, so a
+        # refusal at n = 10^6 needs no p_m past m = 77
+        monkeypatch.delenv(pt.CAP_ENV_VAR, raising=False)
+        count = pt.partition_count
+        seen = []
+
+        def spy(m):
+            seen.append(m)
+            if m > 100:
+                raise AssertionError(f"partition_count({m}) computed")
+            return count(m)
+
+        monkeypatch.setattr(pt, "partition_count", spy)
+        with pytest.raises(pt.CapExceededError, match=r"p_n\^2 > p_77\^2 = "):
+            ch.check_table_cap(10**6)
+        with pytest.raises(pt.CapExceededError, match=r"p_1000000 > p_77 = 10619863 "):
+            pt.enumerate_partitions(10**6)
+        assert seen and max(seen) == 77
+        # where the walk reaches n, the message names p_n itself
+        with pytest.raises(pt.CapExceededError, match=r"^p_12 = 77 exceeds"):
+            pt.enumerate_partitions(12, cap=76)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv(pt.CAP_ENV_VAR, "5")

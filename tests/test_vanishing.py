@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,26 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             vn.ks_distance([], vn.limit_cdf)
+
+    def test_matches_per_sample_loop(self):
+        # the same floats as the loop that evaluates the cdf once per sample,
+        # on tied and untied values and on the lattice of goncharov's values
+        rnd = random.Random(SEED)
+        uniform = lambda x: min(1.0, max(0.0, x))
+        lattice = vn.goncharov_experiment(100, 3000, SEED).normalized_values
+        assert len(set(lattice)) < 20
+        cases = [
+            ([rnd.random() for _ in range(500)], uniform),
+            ([rnd.randrange(7) / 6 for _ in range(500)], uniform),
+            ([0.5] * 9, uniform),
+            ([rnd.gauss(0, 1) for _ in range(300)], vn.limit_cdf),
+            (lattice, vn.limit_cdf),
+            (lattice[:1], vn.limit_cdf),
+        ]
+        for values, cdf in cases:
+            assert vn.ks_distance(values, cdf) == orc.reference_ks_distance(values, cdf)
+        assert vn.ks_distance(iter(lattice), vn.limit_cdf) == \
+            orc.reference_ks_distance(lattice, vn.limit_cdf)
 
     def test_matches_scipy(self):
         g = vn.goncharov_experiment(50, 400, SEED)
