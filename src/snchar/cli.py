@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 argument or input validation failure,
 3 enumeration cap exceeded. Machine-readable output is deterministic:
 identical flags (and seed) produce byte-identical bytes. Every JSON
 report embeds the resolved run configuration.
+
+A subcommand is declared once, by one command(...) call in _build_parser:
+its arguments, its format choices and its handler. Every argument's dest
+is a RunConfig field (or --f, which splits into f_mode and f_const), so
+the config is the parsed namespace restricted to those fields.
 """
 
 import argparse
@@ -261,123 +266,76 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, fmt=("text", "json"), default_fmt="text"):
-        p.add_argument("--format", choices=fmt, default=default_fmt)
+    def command(name, run, help, *adders, fmt=("text", "json"), default_fmt="text"):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for add in adders:
+            add(p)
+        p.add_argument("--format", dest="fmt", choices=fmt, default=default_fmt)
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--cap", type=int, help="enumeration cap override")
         p.add_argument("--threads", type=int, default=1,
                        help="recorded in JSON configs; has no effect")
 
-    p = sub.add_parser("table", help="export the character table of S_n")
-    p.add_argument("n", type=int)
-    common(p, fmt=("text", "csv", "json"), default_fmt="csv")
+    def arg(*names, **kwargs):
+        return lambda p: p.add_argument(*names, **kwargs)
 
-    p = sub.add_parser("pzero", help="exact vanishing probability P_n")
-    p.add_argument("n", type=int)
-    common(p)
+    def sampled(p):
+        p.add_argument("--samples", type=int, default=10_000)
+        p.add_argument("--seed", type=int, default=sp.DEFAULT_SEED)
 
-    p = sub.add_parser("bound", help="lower-bound report for P_n")
-    p.add_argument("n", type=int)
-    p.add_argument("--C", type=float, default=vn.DEFAULT_C,
-                   help="threshold constant (default sqrt(6)/(2 pi))")
-    p.add_argument("--f", default="log",
-                   help="'log' for f(n)=log n, or a constant value")
-    p.add_argument("--strict", action="store_true",
-                   help="use a strict > threshold comparison")
-    p.add_argument("--no-exact", dest="exact", action="store_false",
-                   help="skip the exact P_n computation")
-    common(p)
-
-    p = sub.add_parser("mc-pzero", help="Monte Carlo estimate of P_n")
-    p.add_argument("n", type=int)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=sp.DEFAULT_SEED)
-    common(p)
-
-    p = sub.add_parser("goncharov",
-                       help="normalized cycle-count sample vs the limit law")
-    p.add_argument("n", type=int)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=sp.DEFAULT_SEED)
-    common(p, fmt=("text", "json", "csv"))
-
-    p = sub.add_parser("long-cycle",
-                       help="frequency of a cycle of length >= n/(2 log n)")
-    p.add_argument("n", type=int)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=sp.DEFAULT_SEED)
-    common(p)
-
-    p = sub.add_parser("table-stats", help="zero/sign statistics series")
-    p.add_argument("n_min", type=int)
-    p.add_argument("n_max", type=int)
-    common(p, fmt=("text", "csv", "json"), default_fmt="csv")
-
-    p = sub.add_parser("group", help="bound report from a class-data file")
-    p.add_argument("file")
-    p.add_argument("--exhaustive-omega", action="store_true",
-                   help="verify default Omega maximizes Q - R over subsets")
-    common(p)
-
-    p = sub.add_parser("export-group",
-                       help="emit S_n as generic class-data JSON")
-    p.add_argument("n", type=int)
-    common(p, fmt=("json",), default_fmt="json")
-
+    n = arg("n", type=int)
+    tables = ("text", "csv", "json")
+    command("table", _cmd_table, "export the character table of S_n", n,
+            fmt=tables, default_fmt="csv")
+    command("pzero", _cmd_pzero, "exact vanishing probability P_n", n)
+    command("bound", _cmd_bound, "lower-bound report for P_n", n,
+            arg("--C", dest="c", type=float, default=vn.DEFAULT_C,
+                help="threshold constant (default sqrt(6)/(2 pi))"),
+            arg("--f", default="log",
+                help="'log' for f(n)=log n, or a constant value"),
+            arg("--strict", action="store_true",
+                help="use a strict > threshold comparison"),
+            arg("--no-exact", dest="exact", action="store_false",
+                help="skip the exact P_n computation"))
+    command("mc-pzero", _cmd_mc_pzero, "Monte Carlo estimate of P_n", n, sampled)
+    command("goncharov", _cmd_goncharov,
+            "normalized cycle-count sample vs the limit law", n, sampled,
+            fmt=("text", "json", "csv"))
+    command("long-cycle", _cmd_long_cycle,
+            "frequency of a cycle of length >= n/(2 log n)", n, sampled)
+    command("table-stats", _cmd_table_stats, "zero/sign statistics series",
+            arg("n_min", type=int), arg("n_max", type=int),
+            fmt=tables, default_fmt="csv")
+    command("group", _cmd_group, "bound report from a class-data file",
+            arg("input_file", metavar="file"),
+            arg("--exhaustive-omega", action="store_true",
+                help="verify default Omega maximizes Q - R over subsets"))
+    command("export-group", _cmd_export_group,
+            "emit S_n as generic class-data JSON", n,
+            fmt=("json",), default_fmt="json")
     return top
 
 
 def _config_from_args(args) -> RunConfig:
-    f_mode, f_const = None, None
-    if hasattr(args, "f"):
-        if args.f == "log":
-            f_mode, f_const = "log", 0.0
-        else:
-            try:
-                f_const = float(args.f)
-            except ValueError:
-                raise ValueError(
-                    f"--f must be 'log' or a number, got {args.f!r}"
-                ) from None
-            f_mode = "const"
-    if getattr(args, "samples", None) is not None and args.samples < 1:
+    """Split --f into f_mode and f_const, validate, and keep the parsed
+    values whose dests are RunConfig fields."""
+    f = getattr(args, "f", None)
+    if f == "log":
+        args.f_mode, args.f_const = "log", 0.0
+    elif f is not None:
+        try:
+            args.f_const = float(f)
+        except ValueError:
+            raise ValueError(f"--f must be 'log' or a number, got {f!r}") from None
+        args.f_mode = "const"
+    if getattr(args, "samples", 1) < 1:
         raise ValueError("--samples must be >= 1")
-    if getattr(args, "threads", 1) < 1:
+    if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    if getattr(args, "cap", None) is not None and args.cap < 1:
+    if args.cap is not None and args.cap < 1:
         raise ValueError("--cap must be >= 1")
-    return RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", None),
-        n_min=getattr(args, "n_min", None),
-        n_max=getattr(args, "n_max", None),
-        samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", None),
-        c=getattr(args, "C", None),
-        f_mode=f_mode,
-        f_const=f_const,
-        strict=getattr(args, "strict", None),
-        exact=getattr(args, "exact", None),
-        fmt=args.format,
-        output=args.output,
-        cap=args.cap,
-        threads=args.threads,
-        input_file=getattr(args, "file", None),
-        exhaustive_omega=getattr(args, "exhaustive_omega", None),
-    )
-
-
-_COMMANDS = {
-    "table": _cmd_table,
-    "pzero": _cmd_pzero,
-    "bound": _cmd_bound,
-    "mc-pzero": _cmd_mc_pzero,
-    "goncharov": _cmd_goncharov,
-    "long-cycle": _cmd_long_cycle,
-    "table-stats": _cmd_table_stats,
-    "group": _cmd_group,
-    "export-group": _cmd_export_group,
-}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig._fields})
 
 
 def run(argv=None) -> int:
@@ -395,7 +353,7 @@ def run(argv=None) -> int:
             return int(e.code or 0)
         cfg = _config_from_args(args)
         with _unlimited_int_digits():
-            text = _COMMANDS[cfg.subcommand](cfg)
+            text = args.run(cfg)
         _emit(text, cfg)
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)

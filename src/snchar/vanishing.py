@@ -110,10 +110,13 @@ def omega_probability(n: int, spec: OmegaSpec) -> Fraction:
     m*e_m = e_{m-1} + ... + e_{m-t+1}, terms of negative index absent.
     e_m/n! is that probability for S_m, so every division is exact. The
     right-hand sum slides with m, and only its t - 1 terms are stored.
+    No cycle is longer than n, so Q_n = 0 when t > n.
     """
     t = spec.min_first_part(n)
     if t <= 1:
         return Fraction(1)
+    if t > n:
+        return Fraction(0)
     total = math.factorial(n)
     window = deque([total], maxlen=t - 1)
     s = total
@@ -209,13 +212,15 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
     W = sp.share_count(samples), and p_n fits the cap, the masks of all p_n
     shapes are built serially in canonical order (measured, that pays off
     from about four samples per shape and share), and a sample looks its
-    mask up by rank: no bead b >= mu_1 over an empty b - mu_1 means no
-    hook of length mu_1. Else it reads its parts largest first from the
-    rank; with j parts read and s cells left, l(lambda) <= j + s, so it
-    stops once lambda_1 + j + s - 1 < mu_1. Such shapes are zeros without
-    a sweep; the sweep skips mn_value's checks. The draws (rank, then mu)
-    are those of uniform_partition and random_cycle_type. The tables are
-    built before sp.map_blocks forks and shared copy-on-write.
+    mask up by rank. Else it reads its parts largest first from the rank;
+    with j parts read and s cells left, l(lambda) <= j + s, so it stops
+    once lambda_1 + j + s - 1 < mu_1, and otherwise builds the mask. Both
+    paths then test the mask: no bead b >= mu_1 over an empty b - mu_1
+    means no hook of length mu_1. Shapes that stop or fail the test are
+    zeros without a sweep; the sweep skips mn_value's checks. The draws
+    (rank, then mu) are those of uniform_partition and random_cycle_type.
+    The tables are built before sp.map_blocks forks and shared
+    copy-on-write.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -255,7 +260,8 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
                     beads = beads << (last - k + 1) | 1
                     last = k
                 else:
-                    if ch._sweep(beads << last, mu):
+                    beads <<= last
+                    if (beads >> t) & ~beads and ch._sweep(beads, mu):
                         continue
                 zeros += 1
             return zeros

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pkgutil
@@ -107,6 +108,121 @@ class TestExitCodes:
 
     def test_no_args(self, capsys):
         assert cli.run([]) == 2
+
+
+class TestHugeThreshold:
+    @pytest.mark.parametrize("flag,value", [("--f", "1e308"), ("--C", "1e19")])
+    def test_empty_omega(self, capsys, flag, value):
+        # the threshold is past 2^63 but finite: Omega is empty, Q_n = 0
+        out = run_ok(capsys, "bound", "12", flag, value)
+        assert "|Omega| = 0\n" in out
+        assert "Q_n = 0 (0)\n" in out
+
+
+# SHA-256 of each --help at 80 columns, and the JSON config of one run of
+# each subcommand: the parser's arguments, dests and RunConfig agree.
+_HELP_SHA256 = {
+    None: "d88c511883eccd212afc501c1660eb0a0638ff2d616be4db074ca05503e7fbc3",
+    "table": "0dbf7f5c60f95673f04e71279f10d145abb2306a92353f4d528caed8eb0c7fbe",
+    "pzero": "3b6fe8b89a0d1791a170e7794a063441f02fc5499507c05fb32bf7681a4de97f",
+    "bound": "25e8d89442a292ebdf43fd2d880861070e8ceb68b14c27d6eb59d58af363e153",
+    "mc-pzero": "b35905c2051db07a359978a636fccdf4d25a32c9a0f271006a6060e2c2736f85",
+    "goncharov": "0e425aa5d2b0ba2ebf007bab380a8edcb0773bdff2fe37bd435870cc449ca04b",
+    "long-cycle": "074ca7dec27c2e7a6113361abf09da95d16f9d521ad320e330f797595e1bc2e6",
+    "table-stats": "daeb4f398bb938b7308a8e42e1bf0805abff388e1e9def7f4543facd6aaf3f90",
+    "group": "dc202a148ac63b4621c135b2d0e00432be82052da000d55008f9727d90a3b6bf",
+    "export-group": "2a23224d401362cb8ece69d4c37578a3492dece3cb605e44304ab2f9aaa5281e",
+}
+
+_CONFIG_KEYS = (
+    "subcommand", "n", "n_min", "n_max", "samples", "seed", "c", "f_mode",
+    "f_const", "strict", "exact", "fmt", "output", "cap", "threads",
+    "input_file", "exhaustive_omega",
+)
+
+# argv, then the config's values other than null
+_CONFIGS = [
+    (["table", "4", "--format", "json"],
+     {"subcommand": "table", "n": 4, "fmt": "json", "threads": 1}),
+    (["pzero", "5", "--format", "json", "--cap", "1000", "--threads", "2"],
+     {"subcommand": "pzero", "n": 5, "fmt": "json", "cap": 1000, "threads": 2}),
+    (["bound", "8", "--format", "json", "--C", "0.5", "--f", "1.5", "--strict",
+      "--no-exact"],
+     {"subcommand": "bound", "n": 8, "c": 0.5, "f_mode": "const", "f_const": 1.5,
+      "strict": True, "exact": False, "fmt": "json", "threads": 1}),
+    (["mc-pzero", "4", "--samples", "50", "--seed", "3", "--format", "json"],
+     {"subcommand": "mc-pzero", "n": 4, "samples": 50, "seed": 3, "fmt": "json",
+      "threads": 1}),
+    (["goncharov", "20", "--samples", "50", "--format", "json"],
+     {"subcommand": "goncharov", "n": 20, "samples": 50, "seed": 20250217,
+      "fmt": "json", "threads": 1}),
+    (["long-cycle", "30", "--samples", "50", "--format", "json"],
+     {"subcommand": "long-cycle", "n": 30, "samples": 50, "seed": 20250217,
+      "fmt": "json", "threads": 1}),
+    (["table-stats", "3", "5", "--format", "json"],
+     {"subcommand": "table-stats", "n_min": 3, "n_max": 5, "fmt": "json",
+      "threads": 1}),
+    (["group", "GROUP_FILE", "--exhaustive-omega", "--format", "json"],
+     {"subcommand": "group", "fmt": "json", "threads": 1,
+      "input_file": "GROUP_FILE", "exhaustive_omega": True}),
+    (["export-group", "3"],
+     {"subcommand": "export-group", "n": 3, "fmt": "json", "threads": 1}),
+]
+
+# argv, then stderr in full; the choice errors below are matched only up
+# to the choice list, whose quoting is argparse's and not snchar's
+_ERRORS = [
+    (["pzero", "5", "--threads", "0"], "error: --threads must be >= 1\n"),
+    (["pzero", "5", "--cap", "0"], "error: --cap must be >= 1\n"),
+    (["mc-pzero", "3", "--samples", "0"], "error: --samples must be >= 1\n"),
+    (["bound", "6", "--f", "cubic"],
+     "error: --f must be 'log' or a number, got 'cubic'\n"),
+    (["group"], "error: the following arguments are required: file\n"),
+    (["table-stats", "3"], "error: the following arguments are required: n_max\n"),
+    (["pzero", "abc"], "error: argument n: invalid int value: 'abc'\n"),
+    (["bound", "12", "--C", "x"], "error: argument --C: invalid float value: 'x'\n"),
+    (["pzero", "3", "--wat"], "error: unrecognized arguments: --wat\n"),
+    ([], "error: the following arguments are required: subcommand\n"),
+]
+
+
+class TestSurface:
+    @pytest.mark.parametrize("sub", list(_HELP_SHA256), ids=lambda s: s or "top")
+    def test_help_is_pinned(self, capsys, monkeypatch, sub):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.run(["--help"] if sub is None else [sub, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == _HELP_SHA256[sub]
+
+    @pytest.mark.parametrize("argv,values", _CONFIGS, ids=[a[0] for a, _ in _CONFIGS])
+    def test_json_config(self, capsys, tmp_path, argv, values):
+        path = tmp_path / "s3.json"
+        run_ok(capsys, "export-group", "3", "--output", str(path))
+        argv = [str(path) if a == "GROUP_FILE" else a for a in argv]
+        config = json.loads(run_ok(capsys, *argv))["config"]
+        want = dict.fromkeys(_CONFIG_KEYS)
+        want.update(values)
+        if "input_file" in values:
+            want["input_file"] = str(path)
+        assert config == want
+        assert tuple(config) == _CONFIG_KEYS
+
+    @pytest.mark.parametrize("argv,err", _ERRORS, ids=[" ".join(a) or "none" for a, _ in _ERRORS])
+    def test_error_message(self, capsys, argv, err):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,head", [
+        (["goncharov", "20", "--format", "xml"],
+         "error: argument --format: invalid choice: 'xml'"),
+        (["frobnicate", "3"], "error: argument subcommand: invalid choice: 'frobnicate'"),
+    ])
+    def test_choice_error(self, capsys, argv, head):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err.startswith(head)
 
 
 class TestReports:

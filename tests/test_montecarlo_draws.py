@@ -300,6 +300,36 @@ class TestMaskTable:
         assert got.extra["zeros"] == orc.montecarlo_zeros(20, 5000, 5)
 
 
+def _hook_lengths(beads: int) -> set[int]:
+    """Hook lengths of the shape with bead mask beads, from its parts and
+    their conjugate rather than from the beads."""
+    spots = [b for b in range(beads.bit_length() - 1, -1, -1) if beads >> b & 1]
+    shape = [b - (len(spots) - 1 - i) for i, b in enumerate(spots)]
+    shape = [part for part in shape if part]
+    conj = pt.conjugate(tuple(shape))
+    return {row - j + conj[j] - i - 1 for i, row in enumerate(shape) for j in range(row)}
+
+
+class TestPartsPathSweeps:
+    def test_sweeps_only_shapes_with_a_longest_cycle_hook(self, monkeypatch):
+        # 800 samples at n = 60 stay below 4 p_60 and read parts; a shape
+        # with no hook of length mu_1 is a zero without a sweep
+        built = _mask_tables(monkeypatch)
+        sweeps = []
+        sweep = vn.ch._sweep
+
+        def spy(beads, mu):
+            sweeps.append((beads, tuple(mu)))
+            return sweep(beads, mu)
+
+        monkeypatch.setattr(vn.ch, "_sweep", spy)
+        got = vn.montecarlo_pzero(60, 800, seed=5)
+        assert built == []
+        assert sweeps
+        assert all(mu[0] in _hook_lengths(beads) for beads, mu in sweeps)
+        assert got.extra["zeros"] == orc.montecarlo_zeros(60, 800, 5)
+
+
 class TestSampledOmegaCheck:
     def test_max_is_the_greedy_sum(self):
         # 25 classes take the sampled branch; weights k*size - order of both

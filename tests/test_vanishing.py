@@ -166,6 +166,16 @@ class TestClosedForm:
             rep = vn.lemma_bound(n, T_PAST_N)
             assert rep.q_n == 0 and rep.omega_count == 0
 
+    @pytest.mark.parametrize("spec", [
+        vn.OmegaSpec(f_mode="const", f_const=1e308),
+        vn.OmegaSpec(c=1e19),
+    ])
+    def test_threshold_past_a_machine_word(self, spec):
+        # t - 1 >= 2^63 is too long for any window; no cycle reaches t > n
+        assert spec.min_first_part(12) - 1 >= 2**63
+        assert vn.omega_probability(12, spec) == 0
+        assert vn.omega_count(12, spec) == 0
+
     def test_no_cap_without_exact(self, monkeypatch):
         # p_2000 is about 4.7e45: the bound enumerates nothing, so a cap
         # of 10 does not apply unless the exact table is asked for
