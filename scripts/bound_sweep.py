@@ -11,22 +11,11 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 
 from snchar import vanishing as vn
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n_min: int
-    n_max: int
-    exact_max: int
-    c: float
-    strict: bool
-    out: str | None
-
-
-def parse_args(argv=None) -> SweepConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-min", type=int, default=5)
     ap.add_argument("--n-max", type=int, default=30)
@@ -35,30 +24,30 @@ def parse_args(argv=None) -> SweepConfig:
     ap.add_argument("--C", type=float, default=vn.DEFAULT_C, dest="c")
     ap.add_argument("--strict", action="store_true")
     ap.add_argument("--out", help="output CSV path (default stdout)")
-    a = ap.parse_args(argv)
-    if a.n_min < 2:
+    args = ap.parse_args(argv)
+    if args.n_min < 2:
         ap.error("--n-min must be >= 2")
-    return SweepConfig(a.n_min, a.n_max, a.exact_max, a.c, a.strict, a.out)
+    return args
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    spec = vn.OmegaSpec(c=cfg.c, strict=cfg.strict)
-    sink = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
+    args = parse_args(argv)
+    spec = vn.OmegaSpec(c=args.c, strict=args.strict)
+    sink = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(sink)
     writer.writerow([
         "n", "p_n", "omega_count", "threshold", "q_n", "r_n",
         "lower_bound", "exact_p",
     ])
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        rep = vn.lemma_bound(n, spec, compute_exact=n <= cfg.exact_max)
+    for n in range(args.n_min, args.n_max + 1):
+        rep = vn.lemma_bound(n, spec, compute_exact=n <= args.exact_max)
         writer.writerow([
             rep.n, rep.p_n, rep.omega_count, spec.min_first_part(n),
             f"{float(rep.q_n):.10f}", f"{float(rep.r_n):.10f}",
             f"{float(rep.lower_bound):.10f}",
             f"{float(rep.exact_p):.10f}" if rep.exact_p is not None else "",
         ])
-    if cfg.out:
+    if args.out:
         sink.close()
     return 0
 

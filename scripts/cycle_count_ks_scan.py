@@ -19,18 +19,9 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from snchar import sampling as sp
 from snchar import vanishing as vn
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    ns: tuple[int, ...]
-    samples: int
-    seed: int
-    out: str | None
 
 
 def exact_lattice_ks(n: int) -> float:
@@ -62,32 +53,31 @@ def exact_lattice_ks(n: int) -> float:
     return dist
 
 
-def parse_args(argv=None) -> ScanConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, nargs="*",
                     default=[100, 1000, 10_000, 100_000])
     ap.add_argument("--samples", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=sp.DEFAULT_SEED)
     ap.add_argument("--out", help="output CSV path (default stdout)")
-    a = ap.parse_args(argv)
-    return ScanConfig(tuple(a.n), a.samples, a.seed, a.out)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    sink = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
+    args = parse_args(argv)
+    sink = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(sink)
     writer.writerow(["n", "samples", "ks_sampled", "ks_exact_lattice",
                      "lattice_spacing"])
-    for n in cfg.ns:
-        g = vn.goncharov_experiment(n, cfg.samples, cfg.seed)
+    for n in args.n:
+        g = vn.goncharov_experiment(n, args.samples, args.seed)
         writer.writerow([
-            n, cfg.samples,
+            n, args.samples,
             f"{g.ks_distance:.6f}",
             f"{exact_lattice_ks(n):.6f}",
             f"{1.0 / math.sqrt(2 * math.log(n)):.6f}",
         ])
-    if cfg.out:
+    if args.out:
         sink.close()
     return 0
 

@@ -27,15 +27,11 @@ Two samplers:
 * uniform_partition draws a partition of n uniformly among all p_n of
   them, by rejection-sampling an integer rank below p_n and unranking it
   with one bisect per part in a pt.count_rows table.
-
-The Monte Carlo loop of vanishing.montecarlo_pzero makes the same draws in
-the same order (rank, then cycle type). With 4 W samples per shape or more,
-W = share_count(samples), it looks the shape's bead mask up in a table built
-before the fork, else it reads the parts from pt.parts_at; a shape whose
-largest hook is shorter than the longest cycle is a zero without a sweep.
 """
 
+import itertools
 import marshal
+import math
 import os
 import sys
 import threading
@@ -116,21 +112,11 @@ class Stream:
     as numpy's Philox does.
     """
 
-    __slots__ = ("_chunks", "_words", "_next", "_high")
+    __slots__ = ("_word", "_high")
 
     def __init__(self, chunks):
-        self._chunks = chunks
-        self._words: list[int] = []
-        self._next = 0
+        self._word = itertools.chain.from_iterable(chunks).__next__
         self._high: int | None = None
-
-    def _word(self) -> int:
-        i = self._next
-        if i == len(self._words):
-            self._words = next(self._chunks)
-            i = 0
-        self._next = i + 1
-        return self._words[i]
 
     def _half(self) -> int:
         high = self._high
@@ -178,7 +164,7 @@ class Stream:
 
         While r cells remain, the next cycle length is below(r) + 1, drawn
         exactly as those below calls draw it: r = 1 takes nothing, r up to
-        2^32 takes halves by Lemire's rule (the buffer and the word index
+        2^32 takes halves by Lemire's rule (the word source and the buffer
         held in locals), and r > 2^32 goes through below's 64-bit path.
         """
         parts = []
@@ -187,32 +173,28 @@ class Stream:
             c = self.below(r) + 1
             parts.append(c)
             r -= c
-        words, i, high = self._words, self._next, self._high
+        word, high = self._word, self._high
         while r > 1:
             if high is None:
-                if i == len(words):
-                    words = next(self._chunks)
-                    i = 0
-                word = words[i]
-                i += 1
-                m = (word & MASK32) * r
-                high = word >> 32
+                w = word()
+                m = (w & MASK32) * r
+                high = w >> 32
             else:
                 m = high * r
                 high = None
             if m & MASK32 < r:
                 floor = (1 << 32) % r
                 if m & MASK32 < floor:  # rejected: redraw through _half
-                    self._words, self._next, self._high = words, i, high
+                    self._high = high
                     while m & MASK32 < floor:
                         m = self._half() * r
-                    words, i, high = self._words, self._next, self._high
+                    high = self._high
             c = (m >> 32) + 1
             parts.append(c)
             r -= c
         if r:
             parts.append(1)
-        self._words, self._next, self._high = words, i, high
+        self._high = high
         parts.sort(reverse=True)
         return parts
 
@@ -365,6 +347,12 @@ class SampleSummary(NamedTuple):
     std_error: float
     seed: int
     extra: dict
+
+    @classmethod
+    def of(cls, hits: int, samples: int, seed: int, extra: dict) -> "SampleSummary":
+        """The binomial estimate hits/samples with its standard error."""
+        est = hits / samples
+        return cls(est, samples, math.sqrt(est * (1.0 - est) / samples), seed, extra)
 
     def to_json_dict(self) -> dict:
         return {

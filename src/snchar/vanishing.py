@@ -208,19 +208,18 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
     which keeps nothing between samples.
 
     A t-strip can come off a shape only along a hook of length t, and
-    every hook is at most lambda_1 + l(lambda) - 1. If 4 W p_n <= samples,
+    every hook is at most lambda_1 + l(lambda) - 1. Each sample draws a
+    rank, then mu (the draws of uniform_partition and random_cycle_type),
+    and takes the shape's bead mask. If 4 W p_n <= samples,
     W = sp.share_count(samples), and p_n fits the cap, the masks of all p_n
-    shapes are built serially in canonical order (measured, that pays off
-    from about four samples per shape and share), and a sample looks its
-    mask up by rank. Else it reads its parts largest first from the rank;
-    with j parts read and s cells left, l(lambda) <= j + s, so it stops
-    once lambda_1 + j + s - 1 < mu_1, and otherwise builds the mask. Both
-    paths then test the mask: no bead b >= mu_1 over an empty b - mu_1
-    means no hook of length mu_1. Shapes that stop or fail the test are
-    zeros without a sweep; the sweep skips mn_value's checks. The draws
-    (rank, then mu) are those of uniform_partition and random_cycle_type.
-    The tables are built before sp.map_blocks forks and shared
-    copy-on-write.
+    shapes are built serially in canonical order before sp.map_blocks forks
+    (measured, that pays off from about four samples per shape and share),
+    and the mask is looked up by rank. Else the sample reads its parts
+    largest first from the rank; with j parts read and s cells left,
+    l(lambda) <= j + s, so it stops with mask 0 once
+    lambda_1 + j + s - 1 < mu_1. Then no bead b >= mu_1 over an empty
+    b - mu_1 means no hook of length mu_1: such a shape is a zero without
+    a sweep, and the sweep skips mn_value's checks.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -228,24 +227,19 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
         raise ValueError("samples must be >= 1")
     rows = pt.count_rows(n, cap)
     pn = rows[n][n]
+    table = None
     if 4 * sp.share_count(samples) * pn <= samples and pn <= pt.enumeration_cap(cap):
         table = [ch._beads(sh) for sh in pt.enumerate_partitions(n, cap)]
 
-        def block_zeros(rng, count):
-            zeros = 0
-            for _ in range(count):
-                beads = table[sp.uniform_below(pn, rng)]
-                mu = rng.cycle_lengths(n)
-                if not (beads >> mu[0]) & ~beads or not ch._sweep(beads, mu):
-                    zeros += 1
-            return zeros
-    else:
-        def block_zeros(rng, count):
-            zeros = 0
-            for _ in range(count):
-                r = sp.uniform_below(pn, rng)
-                mu = rng.cycle_lengths(n)
-                t = mu[0]
+    def block_zeros(rng, count):
+        zeros = 0
+        for _ in range(count):
+            r = sp.uniform_below(pn, rng)
+            mu = rng.cycle_lengths(n)
+            t = mu[0]
+            if table is not None:
+                beads = table[r]
+            else:
                 parts = pt.parts_at(n, r, rows)
                 last = next(parts)
                 # reach bounds the largest hook: lambda_1 + (parts read)
@@ -254,6 +248,7 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
                 for k in parts:
                     reach -= k - 1
                     if reach < t:
+                        beads = 0
                         break
                     # a part's bead sits at part + (parts after it); the mask
                     # holds it less the latest part, added back by the last shift
@@ -261,17 +256,12 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
                     last = k
                 else:
                     beads <<= last
-                    if (beads >> t) & ~beads and ch._sweep(beads, mu):
-                        continue
+            if not (beads >> t) & ~beads or not ch._sweep(beads, mu):
                 zeros += 1
-            return zeros
+        return zeros
     zeros = sum(sp.map_blocks(seed, samples, block_zeros))
-    est = zeros / samples
-    se = math.sqrt(est * (1.0 - est) / samples)
-    return SampleSummary(
-        estimate=est, samples=samples, std_error=se, seed=seed,
-        extra={"n": n, "zeros": zeros, "statistic": "pzero"},
-    )
+    return SampleSummary.of(zeros, samples, seed,
+                            {"n": n, "zeros": zeros, "statistic": "pzero"})
 
 
 # -- cycle-count limit law -----------------------------------------------------
@@ -342,10 +332,6 @@ def long_cycle_frequency(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> S
     def block_hits(rng, count):
         return sum(rng.cycle_lengths(n)[0] >= threshold for _ in range(count))
     hits = sum(sp.map_blocks(seed, samples, block_hits))
-    est = hits / samples
-    se = math.sqrt(est * (1.0 - est) / samples)
-    return SampleSummary(
-        estimate=est, samples=samples, std_error=se, seed=seed,
-        extra={"n": n, "hits": hits, "statistic": "long_cycle",
-               "threshold": threshold},
-    )
+    return SampleSummary.of(hits, samples, seed,
+                            {"n": n, "hits": hits, "statistic": "long_cycle",
+                             "threshold": threshold})

@@ -504,3 +504,20 @@ def test_cli_import_loads_no_dataclasses_or_json():
     # snchar modules that are loaded once snchar.cli is imported
     submodules = {f"snchar.{m.name}" for m in pkgutil.iter_modules(snchar.__path__)}
     assert submodules <= added
+
+
+def test_module_run_prints_the_readme_block():
+    # python3 -m snchar.cli runs the CLI like the installed snchar script
+    src = os.path.dirname(os.path.dirname(snchar.__file__))
+    with open(os.path.join(os.path.dirname(src), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    start = readme.index("$ snchar bound 12\n") + len("$ snchar bound 12\n")
+    want = readme[start:readme.index("\n\n", start) + 1]
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SNCHAR_CAP", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "snchar.cli", "bound", "12"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
