@@ -1,6 +1,9 @@
 """Exact irreducible character values of symmetric groups, the vanishing
 probability P_n of a random character value, and its class-data lower
 bound, with seeded Monte Carlo counterparts.
+
+snchar.table_stats is the function, re-exported below, not the submodule
+of the same name; from snchar.table_stats import ... reaches the module.
 """
 
 from .partitions import (

@@ -23,6 +23,8 @@ t >= nu_1 whose remainder parts >= t can still fill. Only the vectors on the
 current path are alive, and each operator is built when first reached.
 
 Everything is exact integer arithmetic; there is no floating point here.
+partitions.check_table_cap caps a table's p_n^2 entries; CharacterTable
+owns the table's text, CSV and JSON forms, which all read its rows().
 """
 
 from collections.abc import Callable, Iterator
@@ -32,7 +34,7 @@ from operator import itemgetter, neg, sub
 from typing import NamedTuple
 
 from . import partitions as pt
-from .partitions import Partition, CapExceededError
+from .partitions import Partition
 
 _Op = Callable[[list[int]], list[int]]  # a strip operator A_(m,t)
 
@@ -122,41 +124,36 @@ class CharacterTable(NamedTuple):
     classes: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
 
-    def to_csv(self) -> str:
-        """CSV text: header row of class labels, then one row per character
-        led by its shape label.
-        """
-        lines = ["shape," + ",".join(pt.format_partition(c) for c in self.classes)]
+    def rows(self) -> Iterator[list[str]]:
+        """The header row, class labels led by "shape", then one row per
+        character, its shape label and decimal values; one at a time."""
+        yield ["shape", *map(pt.format_partition, self.classes)]
         for sh, row in zip(self.characters, self.values):
-            lines.append(
-                pt.format_partition(sh) + "," + ",".join(str(v) for v in row)
-            )
-        return "\n".join(lines) + "\n"
+            yield [pt.format_partition(sh), *map(str, row)]
+
+    def to_csv(self) -> str:
+        """The rows as CSV text."""
+        return "\n".join(map(",".join, self.rows())) + "\n"
+
+    def to_text(self) -> str:
+        """The rows as right-aligned columns two spaces apart, each as wide
+        as its widest entry, header included; " | " sets off the labels."""
+        rows = list(self.rows())
+        w0, *widths = (max(map(len, col)) for col in zip(*rows))
+        return "".join(
+            lab.rjust(w0) + " | " + "  ".join(map(str.rjust, cells, widths)) + "\n"
+            for lab, *cells in rows
+        )
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict with axis labels and values as decimal strings
         (entries can exceed what consumers of double-precision JSON numbers
         survive).
         """
-        return {
-            "n": self.n,
-            "characters": [pt.format_partition(s) for s in self.characters],
-            "classes": [pt.format_partition(c) for c in self.classes],
-            "values": [[str(v) for v in row] for row in self.values],
-        }
-
-
-def check_table_cap(n: int, cap: int | None = None) -> None:
-    """Fail before any table work unless the p_n^2 entries fit the cap."""
-    limit = pt.enumeration_cap(cap)
-    m = pt.first_count_over(n, limit)  # m < n has p_m^2 > p_m > limit
-    pm = pt.partition_count(m)
-    if pm * pm > limit:
-        need = "p_n^2" if m == n else f"p_n^2 > p_{m}^2"
-        raise CapExceededError(
-            f"a table for n={n} needs {need} = {pm * pm} entries"
-            f" (exceeds cap {limit})"
-        )
+        (_, *classes), *rows = self.rows()
+        characters = [row.pop(0) for row in rows]  # leaves each row its cells
+        return {"n": self.n, "characters": characters,
+                "classes": classes, "values": rows}
 
 
 def _operator(sources: list[Partition], targets: list[Partition], t: int) -> _Op:
@@ -191,7 +188,7 @@ def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, l
     """
     if n < 1:
         raise ValueError("n must be positive")
-    check_table_cap(n, cap)
+    pt.check_table_cap(n, cap)
     shapes = [pt.enumerate_partitions(m, cap) for m in range(n + 1)]
     ops: dict[tuple[int, int], _Op] = {}
     # Entries are (t, nu, |nu|, chi^.(nu)); the child (t,) + nu is computed

@@ -18,12 +18,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import CapExceededError
 from . import characters as ch
 from . import groups as gr
-from . import partitions as pt
 from . import sampling as sp
 from . import vanishing as vn
-from .partitions import CapExceededError
 from .table_stats import series_csv, stats_series
 
 
@@ -98,28 +97,9 @@ def _omega_spec(cfg: RunConfig) -> vn.OmegaSpec:
 
 def _cmd_table(cfg: RunConfig) -> str:
     tbl = ch.character_table(cfg.n, cfg.cap)
-    if cfg.fmt == "csv":
-        return tbl.to_csv()
     if cfg.fmt == "json":
         return _json_report(cfg, {"table": tbl.to_json_dict()})
-    labels = [pt.format_partition(s) for s in tbl.characters]
-    heads = [pt.format_partition(c) for c in tbl.classes]
-    cells = [[str(v) for v in row] for row in tbl.values]
-    wl = max(len(s) for s in labels + ["shape"])
-    widths = [
-        max(len(heads[j]), max(len(cells[i][j]) for i in range(len(cells))))
-        for j in range(len(heads))
-    ]
-    lines = [
-        "shape".rjust(wl) + " | "
-        + "  ".join(h.rjust(w) for h, w in zip(heads, widths))
-    ]
-    for lab, row in zip(labels, cells):
-        lines.append(
-            lab.rjust(wl) + " | "
-            + "  ".join(v.rjust(w) for v, w in zip(row, widths))
-        )
-    return "\n".join(lines) + "\n"
+    return tbl.to_csv() if cfg.fmt == "csv" else tbl.to_text()
 
 
 def _cmd_pzero(cfg: RunConfig) -> str:

@@ -233,21 +233,22 @@ class OmegaCheckRecord(NamedTuple):
 
 def symmetric_group_json(n: int, cap: int | None = None) -> dict:
     """Class data of S_n (with its full character table) in the generic
-    input format: classes named by dash-joined cycle types, all numbers as
+    input format, names and cells as in its to_json_dict, all numbers as
     decimal strings. Round-trips through load_class_data.
     """
     from . import characters as ch
     from . import partitions as pt
 
     tbl = ch.character_table(n, cap)
+    doc = tbl.to_json_dict()
     return {
         "group": f"symmetric-{n}",
         "order": str(factorial(n)),
         "classes": [
-            {"name": pt.format_partition(mu), "size": str(pt.class_size(mu))}
-            for mu in tbl.classes
+            {"name": name, "size": str(pt.class_size(mu))}
+            for name, mu in zip(doc["classes"], tbl.classes)
         ],
-        "table": [[str(v) for v in row] for row in tbl.values],
+        "table": doc["values"],
     }
 
 
@@ -255,7 +256,7 @@ EXHAUSTIVE_LIMIT = 20
 SAMPLED_SUBSETS = 1 << 17
 
 
-def best_omega_check(data: ClassData, seed: int = 0) -> OmegaCheckRecord:
+def best_omega_check(data: ClassData) -> OmegaCheckRecord:
     """Maximize Q - R over subsets of classes and compare with default_omega.
 
     Q - R = sum over chosen classes of w_K/(k*|G|) with integer weights
@@ -283,7 +284,7 @@ def best_omega_check(data: ClassData, seed: int = 0) -> OmegaCheckRecord:
         checked = 1 << k
         method = "exhaustive"
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         best = max(0, default_w)
         for _ in range(SAMPLED_SUBSETS):
             acc = sum(w for w in weights if rng.getrandbits(1))

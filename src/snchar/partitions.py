@@ -13,6 +13,12 @@ unrank(n, r) for r = 0, ..., p_n - 1.
 All counts use Python's arbitrary-precision ints. The only memo is
 _pn_cache, the partition counts; the counting table of count_rows is built
 per call and owned by the caller.
+
+Every cap refusal is made here, before any work, by one function per
+quantity the cap bounds: enumerate_partitions checks p_n, check_table_cap
+a table's p_n^2 entries and count_rows a counting table's (n + 1)(n + 2)/2
+ints. A counting table built once a p_n or p_n^2 check has passed is not
+checked again.
 """
 
 import os
@@ -102,14 +108,9 @@ def first_count_over(n: int, limit: int) -> int:
 
 
 def count_rows(n: int, cap: int | None = None) -> list[list[int]]:
-    """Counting table of the canonical order: rows[m][k] is the number of
-    partitions of m with every part <= k, for 0 <= k <= m <= n.
-
-    Built row by row from c(m, k) = c(m, k-1) + c(m-k, min(k, m-k)), a
-    recurrence independent of partition_count's pentagonal one (rows[n][n]
-    is p_n). (n + 1)(n + 2)/2 ints, owned by the caller; raises
-    CapExceededError before any work if they exceed the enumeration cap.
-    """
+    """The counting table _rows(n): rows[m][k] counts the partitions of m
+    with every part <= k. Raises CapExceededError before any work if its
+    (n + 1)(n + 2)/2 ints exceed the enumeration cap."""
     limit = enumeration_cap(cap)
     entries = (n + 1) * (n + 2) // 2
     if entries > limit:
@@ -117,6 +118,17 @@ def count_rows(n: int, cap: int | None = None) -> list[list[int]]:
             f"a counting table for n={n} needs {entries} entries"
             f" (exceeds cap {limit})"
         )
+    return _rows(n)
+
+
+def _rows(n: int) -> list[list[int]]:
+    """Counting table of the canonical order: rows[m][k] is the number of
+    partitions of m with every part <= k, for 0 <= k <= m <= n.
+
+    Built row by row from c(m, k) = c(m, k-1) + c(m-k, min(k, m-k)), a
+    recurrence independent of partition_count's pentagonal one (rows[n][n]
+    is p_n). (n + 1)(n + 2)/2 ints, owned by the caller; unchecked.
+    """
     rows, corners = [[1]], [1]
     for m in range(1, n + 1):
         h = m // 2
@@ -145,8 +157,21 @@ def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
         raise CapExceededError(
             f"{head} = {partition_count(m)} exceeds enumeration cap {limit}"
         )
-    rows = count_rows(n, cap)
+    rows = _rows(n)
     return [unrank(n, r, rows) for r in range(rows[n][n])]
+
+
+def check_table_cap(n: int, cap: int | None = None) -> None:
+    """Fail before any table work unless the p_n^2 entries fit the cap."""
+    limit = enumeration_cap(cap)
+    m = first_count_over(n, limit)  # m < n has p_m^2 > p_m > limit
+    pm = partition_count(m)
+    if pm * pm > limit:
+        need = "p_n^2" if m == n else f"p_n^2 > p_{m}^2"
+        raise CapExceededError(
+            f"a table for n={n} needs {need} = {pm * pm} entries"
+            f" (exceeds cap {limit})"
+        )
 
 
 def unrank(n: int, r: int, rows: list[list[int]] | None = None) -> Partition:

@@ -214,20 +214,14 @@ def substream(seed: int, index: int) -> Stream:
     return Stream(philox_chunks(seed & MASK64, index & MASK64))
 
 
-def block_plan(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
+def block_plan(total: int) -> list[tuple[int, int]]:
     """Split total samples into (block index, count) pairs of at most
-    block_size each. Deterministic partition of the sample index space.
+    BLOCK_SIZE each. Deterministic partition of the sample index space.
     """
     if total < 0:
         raise ValueError("total must be nonnegative")
-    plan = []
-    i = 0
-    while total > 0:
-        take = min(block_size, total)
-        plan.append((i, take))
-        total -= take
-        i += 1
-    return plan
+    starts = range(0, total, BLOCK_SIZE)
+    return [(i, min(BLOCK_SIZE, total - s)) for i, s in enumerate(starts)]
 
 
 def _cpus() -> int:

@@ -69,7 +69,7 @@ def stats_series(n_min: int, n_max: int, cap: int | None = None) -> list[TableSt
     The cap is checked for n_max before any table work.
     """
     if n_min <= n_max:
-        ch.check_table_cap(n_max, cap)
+        pt.check_table_cap(n_max, cap)
     return [table_stats(n, cap) for n in range(n_min, n_max + 1)]
 
 

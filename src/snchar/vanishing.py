@@ -184,7 +184,7 @@ def lemma_bound(
     if spec is None:
         spec = OmegaSpec()
     if compute_exact:
-        ch.check_table_cap(n, cap)
+        pt.check_table_cap(n, cap)
     pn = pt.partition_count(n)
     count = omega_count(n, spec)
     q = omega_probability(n, spec)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -241,6 +242,34 @@ class TestTable:
         assert doc["characters"] == ["3", "2-1", "1-1-1"]
         assert doc["classes"] == ["3", "2-1", "1-1-1"]
         assert doc["values"][1] == ["-1", "0", "2"]
+
+    # SHA-256 of `snchar table n --format text`, n = 1..10
+    TEXT_SHA256 = {
+        1: "b2af96a52c7e4657ff37ecc6a3b1ccb81f6ea87b87046c242c7ce00f05e3888f",
+        2: "211ee863c39398a1c9b6de60848773c0ec7ef2dc6808e07df00eaf165d65fe2a",
+        3: "bdd8b052cc4b6a6ed38455210da4e63e35ab8358fb314ff97013b832fa4aca1e",
+        4: "eaf8e6d324567ac35a8696a939ee76ee110a626cb5f7be76829082bfc742e6f1",
+        5: "1b7459694febea86ec81452a9c0b49fea31c53f3a1b3a6a2c7b187a9be9a2ff1",
+        6: "069055df331e65296d0d79ed63605c46ebf618c0318447f87db9c33794889361",
+        7: "79dbd3ce117f76354bdb462bd596b40b89b9fa76f5169dce4ebf3df40b22069d",
+        8: "6739a584056cfffa879245cde162f4863bf225628a75829ddb9620a769622a5b",
+        9: "93c28c64ea49663f0034304c536761c45ee0143c64026ad0b95aa9a9e9bb80c4",
+        10: "bb4468a624d3012c0bd1337df9484005089bc67e97cd4d98e42fe63346f3f272",
+    }
+
+    @pytest.mark.parametrize("n", sorted(TEXT_SHA256))
+    def test_text_is_pinned(self, n):
+        text = ch.character_table(n).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.TEXT_SHA256[n]
+
+    def test_formats_read_the_same_rows(self):
+        tbl = ch.character_table(6)
+        rows = list(tbl.rows())
+        doc = tbl.to_json_dict()
+        assert rows[0] == ["shape", *doc["classes"]]
+        labels, cells = doc["characters"], doc["values"]
+        assert rows[1:] == [[lab, *row] for lab, row in zip(labels, cells)]
+        assert tbl.to_csv().splitlines() == [",".join(row) for row in rows]
 
 
 class TestColumnStream:

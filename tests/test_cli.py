@@ -110,6 +110,50 @@ class TestExitCodes:
         assert cli.run([]) == 2
 
 
+class TestCapBoundaries:
+    """A table command runs at --cap p_n^2 and is refused one below it; an
+    inner counting table or enumeration is not checked again."""
+
+    TABLES = [["table"], ["pzero"], ["table-stats", "1"], ["export-group"]]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("argv", TABLES)
+    def test_table_runs_at_p_n_squared(self, capsys, argv, n):
+        need = snchar.partition_count(n) ** 2
+        assert cli.run(argv + [str(n), "--cap", str(need)]) == 0
+
+    # at n = 1, one below p_n^2 is --cap 0, which exits 2
+    # (TestSurface.test_error_message)
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("argv", TABLES + [["bound"]])
+    def test_table_refused_below_p_n_squared(self, capsys, argv, n):
+        need = snchar.partition_count(n) ** 2
+        assert cli.run(argv + [str(n), "--cap", str(need - 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: a table for n={n} needs p_n^2 = {need} entries"
+            f" (exceeds cap {need - 1})\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_bound_runs_at_p_n_squared(self, capsys, n):
+        need = snchar.partition_count(n) ** 2
+        assert cli.run(["bound", str(n), "--cap", str(need)]) == 0
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 20])
+    def test_mc_pzero_cap_is_its_counting_table(self, capsys, n):
+        need = (n + 1) * (n + 2) // 2
+        argv = ["mc-pzero", str(n), "--samples", "100", "--cap"]
+        assert cli.run(argv + [str(need)]) == 0
+        capsys.readouterr()
+        assert cli.run(argv + [str(need - 1)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: a counting table for n={n} needs {need} entries"
+            f" (exceeds cap {need - 1})\n"
+        )
+
+
 class TestHugeThreshold:
     @pytest.mark.parametrize("flag,value", [("--f", "1e308"), ("--C", "1e19")])
     def test_empty_omega(self, capsys, flag, value):

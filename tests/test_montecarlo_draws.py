@@ -164,8 +164,7 @@ class TestWorkers:
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        plan = sp.block_plan
-        monkeypatch.setattr(sp, "block_plan", lambda total: plan(total, self.BLOCK))
+        monkeypatch.setattr(sp, "BLOCK_SIZE", self.BLOCK)
 
     @pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
     @pytest.mark.parametrize("blocks", (1, 2, 4))

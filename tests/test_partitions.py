@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as orc
-from snchar import characters as ch
 from snchar import partitions as pt
 
 # first values of the partition-count sequence, long known
@@ -132,13 +131,25 @@ class TestEnumeration:
 
         monkeypatch.setattr(pt, "partition_count", spy)
         with pytest.raises(pt.CapExceededError, match=r"p_n\^2 > p_77\^2 = "):
-            ch.check_table_cap(10**6)
+            pt.check_table_cap(10**6)
         with pytest.raises(pt.CapExceededError, match=r"p_1000000 > p_77 = 10619863 "):
             pt.enumerate_partitions(10**6)
         assert seen and max(seen) == 77
         # where the walk reaches n, the message names p_n itself
         with pytest.raises(pt.CapExceededError, match=r"^p_12 = 77 exceeds"):
             pt.enumerate_partitions(12, cap=76)
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_cap_admits_exactly_p_n(self, n):
+        # the counting table read after the p_n check is not checked again,
+        # though for n <= 13 its (n + 1)(n + 2)/2 ints outnumber p_n
+        pn = pt.partition_count(n)
+        assert pt.enumerate_partitions(n, cap=pn) == orc._lex_desc_partitions(n)
+        if pn == 1:
+            return  # the CLI accepts no cap below 1
+        with pytest.raises(pt.CapExceededError,
+                           match=rf"^p_{n} = {pn} exceeds enumeration cap {pn - 1}$"):
+            pt.enumerate_partitions(n, cap=pn - 1)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv(pt.CAP_ENV_VAR, "5")

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,3 +88,13 @@ class TestSeries:
 
     def test_csv_empty_series(self):
         assert series_csv([]) == SERIES_CSV_HEADER + "\n"
+
+
+def test_package_name_is_the_function_not_the_module():
+    # snchar re-exports table_stats by name, which shadows the submodule
+    import snchar
+    import snchar.table_stats
+
+    assert snchar.table_stats is table_stats
+    assert sys.modules["snchar.table_stats"].table_stats is table_stats
+    assert sys.modules["snchar.table_stats"].__name__ == "snchar.table_stats"
