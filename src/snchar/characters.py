@@ -6,7 +6,9 @@ strip of size t is removable at bead b exactly when b >= t and bit b - t is
 clear; removing it moves the bead to b - t, with sign (-1) to the number of
 beads strictly between. A mask is normalised by shifting out its trailing
 one bits (zero parts), so equal shapes meet as equal ints. _strips is this
-move, and both evaluators use it.
+move, and both evaluators use it. _beads builds the mask of a parts
+tuple and rank_beads that of a canonical rank, from a counting table of
+partitions.count_rows; no other module builds one.
 
 mn_value gives single values by a layer sweep: a map from bead mask to
 signed coefficient starts at the shape, each part t of mu replaces every
@@ -43,6 +45,31 @@ def _beads(shape: Partition) -> int:
     """Bead mask of a shape; parts are positive, so it is normalised."""
     m = len(shape)
     return sum(1 << (part + m - 1 - i) for i, part in enumerate(shape))
+
+
+def rank_beads(n: int, r: int, rows: list[list[int]], t: int = 0) -> int:
+    """Bead mask of the shape of n >= 1 at canonical rank r, its parts read
+    off pt.parts_at(n, r, rows) largest first; 0 as soon as the shape is
+    seen to have no hook of length t, so t = 0 always gives the mask.
+
+    Every hook is at most lambda_1 + l(lambda) - 1. With j parts read and s
+    cells left, l(lambda) <= j + s: reach = lambda_1 + j + s - 1 is n after
+    the first part, never grows, and ends at lambda_1 + l(lambda) - 1.
+    """
+    if n < t:
+        return 0
+    parts = pt.parts_at(n, r, rows)
+    last = next(parts)
+    beads, reach = 1, n
+    for k in parts:
+        reach -= k - 1
+        if reach < t:
+            return 0
+        # a part's bead sits at part + (parts after it); the mask holds it
+        # less the latest part, added back by the last shift
+        beads = beads << (last - k + 1) | 1
+        last = k
+    return beads << last
 
 
 def _strips(beads: int, t: int) -> list[tuple[int, int]]:

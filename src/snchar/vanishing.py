@@ -2,8 +2,8 @@
 
 The quantity of interest is P_n, the probability that chi(g) = 0 when chi
 is drawn uniformly from the p_n irreducible characters and g uniformly
-from the group. Exact evaluation sums over the character table with class
-weights 1/z_mu. The lower bound machinery works through a set Omega of
+from the group. Exact evaluation counts each column's zeros once per
+element of its class. The lower bound machinery works through a set Omega of
 partitions with large first part: with Q_n the probability that a uniform
 permutation's cycle type lies in Omega and R_n = |Omega|/p_n,
 
@@ -17,10 +17,11 @@ partition concentrates) and f(n) = log n. Neither Q_n nor |Omega| needs
 Omega itself: Q_n follows from the longest-cycle recurrence and |Omega|
 from counting partitions with all parts below the threshold.
 
-Also here: the cycle-count limit law experiment (the number of cycles m
-of a uniform permutation, normalized as (m - log n)/sqrt(2 log n), tends
-to the law with density exp(-t^2)/sqrt(pi)) and the long-cycle frequency
-estimate. Logs are natural throughout.
+Also here: Monte Carlo, whose bead masks all come from
+characters.rank_beads; the cycle-count limit law experiment (the number
+of cycles m of a uniform permutation, normalized as (m - log n)/sqrt(2
+log n), tends to the law with density exp(-t^2)/sqrt(pi)); and the
+long-cycle frequency estimate. Logs are natural throughout.
 """
 
 import math
@@ -130,13 +131,10 @@ def omega_probability(n: int, spec: OmegaSpec) -> Fraction:
 
 
 def exact_pzero(n: int, cap: int | None = None) -> Fraction:
-    """P_n exactly: (1/p_n) * sum over classes mu of (zeros in column mu)/z_mu."""
-    total = Fraction(0)
-    for mu, col in ch.class_columns(n, cap):
-        zeros = col.count(0)
-        if zeros:
-            total += Fraction(zeros, pt.centralizer_order(mu))
-    return total / pt.partition_count(n)
+    """P_n exactly: the sum over classes mu of |mu| * (zeros in column mu),
+    over n! * p_n."""
+    weighted = sum(col.count(0) * pt.class_size(mu) for mu, col in ch.class_columns(n, cap))
+    return Fraction(weighted, math.factorial(n) * pt.partition_count(n))
 
 
 class BoundReport(NamedTuple):
@@ -203,23 +201,15 @@ def lemma_bound(
 
 def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
                      cap: int | None = None) -> SampleSummary:
-    """Estimate P_n by sampling: chi uniform over partitions (a uniform
-    rank), g by random cycle type mu, value by mn_value's layer sweep,
-    which keeps nothing between samples.
+    """Estimate P_n from uniform ranks (chi) and cycle types mu (g), drawn
+    as uniform_partition and random_cycle_type do; values by mn_value's sweep.
 
-    A t-strip can come off a shape only along a hook of length t, and
-    every hook is at most lambda_1 + l(lambda) - 1. Each sample draws a
-    rank, then mu (the draws of uniform_partition and random_cycle_type),
-    and takes the shape's bead mask. If 4 W p_n <= samples,
-    W = sp.share_count(samples), and p_n fits the cap, the masks of all p_n
-    shapes are built serially in canonical order before sp.map_blocks forks
-    (measured, that pays off from about four samples per shape and share),
-    and the mask is looked up by rank. Else the sample reads its parts
-    largest first from the rank; with j parts read and s cells left,
-    l(lambda) <= j + s, so it stops with mask 0 once
-    lambda_1 + j + s - 1 < mu_1. Then no bead b >= mu_1 over an empty
-    b - mu_1 means no hook of length mu_1: such a shape is a zero without
-    a sweep, and the sweep skips mn_value's checks.
+    The shape's bead mask comes from ch.rank_beads, 0 if no hook is mu_1
+    long. If 4 W p_n <= samples, W = sp.share_count(samples), and p_n fits
+    the cap, all p_n masks are built before sp.map_blocks forks (measured,
+    that pays from about four samples per shape and share) and looked up
+    by rank. A mask with no bead b >= mu_1 over an empty b - mu_1 has no
+    mu_1-hook, so no mu_1-strip comes off: a zero without a sweep.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -229,7 +219,7 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
     pn = rows[n][n]
     table = None
     if 4 * sp.share_count(samples) * pn <= samples and pn <= pt.enumeration_cap(cap):
-        table = [ch._beads(sh) for sh in pt.enumerate_partitions(n, cap)]
+        table = [ch.rank_beads(n, r, rows) for r in range(pn)]
 
     def block_zeros(rng, count):
         zeros = 0
@@ -237,25 +227,7 @@ def montecarlo_pzero(n: int, samples: int, seed: int = sp.DEFAULT_SEED,
             r = sp.uniform_below(pn, rng)
             mu = rng.cycle_lengths(n)
             t = mu[0]
-            if table is not None:
-                beads = table[r]
-            else:
-                parts = pt.parts_at(n, r, rows)
-                last = next(parts)
-                # reach bounds the largest hook: lambda_1 + (parts read)
-                # + (cells left) - 1, which is n after the first part
-                beads, reach = 1, n
-                for k in parts:
-                    reach -= k - 1
-                    if reach < t:
-                        beads = 0
-                        break
-                    # a part's bead sits at part + (parts after it); the mask
-                    # holds it less the latest part, added back by the last shift
-                    beads = beads << (last - k + 1) | 1
-                    last = k
-                else:
-                    beads <<= last
+            beads = table[r] if table is not None else ch.rank_beads(n, r, rows, t)
             if not (beads >> t) & ~beads or not ch._sweep(beads, mu):
                 zeros += 1
         return zeros

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
+from snchar import characters as ch
 from snchar import groups as gr
 from snchar import partitions as pt
 from snchar import sampling as sp
@@ -246,17 +247,18 @@ class TestWorkers:
 
 
 def _mask_tables(monkeypatch) -> list[int]:
-    """Spy on montecarlo_pzero's path: the list gets p_n for each bead-mask
-    table built, and stays empty on the path that reads parts."""
+    """Spy on montecarlo_pzero's path: the list gets the rank of each mask
+    that ch.rank_beads builds in full (t = 0), as only the bead-mask table
+    does, and stays empty on the path that reads parts."""
     built = []
-    enumerate_partitions = pt.enumerate_partitions
+    rank_beads = vn.ch.rank_beads
 
-    def spy(n, cap=None):
-        shapes = enumerate_partitions(n, cap)
-        built.append(len(shapes))
-        return shapes
+    def spy(n, r, rows, t=0):
+        if not t:
+            built.append(r)
+        return rank_beads(n, r, rows, t)
 
-    monkeypatch.setattr(pt, "enumerate_partitions", spy)
+    monkeypatch.setattr(vn.ch, "rank_beads", spy)
     return built
 
 
@@ -270,7 +272,7 @@ class TestMaskTable:
         for samples in (pn, 4 * pn - 1, 4 * pn, 4 * pn + 37, 20 * pn):
             built.clear()
             got = vn.montecarlo_pzero(n, samples, seed=seed)
-            assert built == ([pn] if samples >= 4 * pn else []), samples
+            assert built == (list(range(pn)) if samples >= 4 * pn else []), samples
             assert got.extra["zeros"] == orc.montecarlo_zeros(n, samples, seed), samples
 
     def test_across_a_block_boundary_at_any_worker_count(self, monkeypatch):
@@ -287,8 +289,23 @@ class TestMaskTable:
                 got = vn.montecarlo_pzero(n, samples, seed=seed)
                 assert len(forks) == min(2, ways) - 1
                 assert sp.share_count(samples) == min(2, ways)
-                assert built == ([pt.partition_count(n)] if ways in table_at else []), (n, ways)
+                table = list(range(pt.partition_count(n)))
+                assert built == (table if ways in table_at else []), (n, ways)
                 assert got.extra["zeros"] == want, (n, ways)
+
+    def test_one_counting_table_per_run(self, monkeypatch):
+        # 5000 samples at n = 20 take the table; a cap of 600 < p_20 keeps
+        # the parts path. Either way the ranks and masks read one table
+        built = _mask_tables(monkeypatch)
+        builds = []
+        rows = pt._rows
+        monkeypatch.setattr(pt, "_rows", lambda n: builds.append(n) or rows(n))
+        for cap, table in ((None, True), (600, False)):
+            builds.clear()
+            built.clear()
+            vn.montecarlo_pzero(20, 5000, seed=5, cap=cap)
+            assert builds == [20], cap
+            assert bool(built) == table, cap
 
     def test_cap_keeps_the_parts_path(self, monkeypatch):
         # p_20 = 627 shapes over a cap of 600: the ranking table fits, the
@@ -327,6 +344,21 @@ class TestPartsPathSweeps:
         assert sweeps
         assert all(mu[0] in _hook_lengths(beads) for beads, mu in sweeps)
         assert got.extra["zeros"] == orc.montecarlo_zeros(60, 800, 5)
+
+
+class TestRankBeads:
+    def test_every_rank_and_strip_length_up_to_14(self):
+        # the full mask at t = 0; else 0 exactly when the corner hook
+        # lambda_1 + l(lambda) - 1, the longest, is shorter than t
+        rows = pt.count_rows(14)
+        for n in range(1, 15):
+            for r in range(pt.partition_count(n)):
+                full = ch._beads(pt.unrank(n, r, rows))
+                assert ch.rank_beads(n, r, rows) == full, (n, r)
+                longest = max(_hook_lengths(full))
+                for t in range(n + 2):
+                    want = 0 if longest < t else full
+                    assert ch.rank_beads(n, r, rows, t) == want, (n, r, t)
 
 
 class TestSampledOmegaCheck:
