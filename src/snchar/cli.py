@@ -6,16 +6,17 @@ Exit codes: 0 success, 2 argument or input validation failure,
 identical flags (and seed) produce byte-identical bytes. Every JSON
 report embeds the resolved run configuration.
 
-A subcommand is declared once, by one command(...) call in _build_parser:
-its arguments, its format choices and its handler. Every argument's dest
-is a RunConfig field (or --f, which splits into f_mode and f_const), so
-the config is the parsed namespace restricted to those fields.
+This module only declares and dispatches. A subcommand is one command(...)
+call in _build_parser: its arguments, its formats, a compute callable from
+RunConfig to a report, and the key of its JSON body. _render picks the
+report's own to_text, to_csv or to_json_dict by --format. Every argument's
+dest is a RunConfig field (or --f, which splits into f_mode and f_const),
+so the config is the parsed namespace restricted to those fields.
 """
 
 import argparse
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import CapExceededError
@@ -23,7 +24,7 @@ from . import characters as ch
 from . import groups as gr
 from . import sampling as sp
 from . import vanishing as vn
-from .table_stats import series_csv, stats_series
+from .table_stats import StatsReport, stats_series
 
 
 class RunConfig(NamedTuple):
@@ -45,11 +46,6 @@ class RunConfig(NamedTuple):
     threads: int | None = None
     input_file: str | None = None
     exhaustive_omega: bool | None = None
-
-
-def _fmt_frac(x: Fraction) -> str:
-    """Human form: exact fraction plus 15-significant-digit decimal."""
-    return f"{x} ({float(x):.15g})"
 
 
 @contextmanager
@@ -81,152 +77,34 @@ def _emit(text: str, cfg: RunConfig) -> None:
         raise ValueError(f"cannot write {cfg.output!r}: {e}") from None
 
 
-def _json_report(cfg: RunConfig, body: dict) -> str:
+def _render(cfg: RunConfig, report, key: str | None) -> str:
+    """The report's --format form: to_text(), to_csv(), or the run config
+    and then to_json_dict() as JSON, under key if one is given."""
+    if cfg.fmt == "text":
+        return report.to_text()
+    if cfg.fmt == "csv":
+        return report.to_csv()
     import json
 
-    return json.dumps({"config": cfg._asdict(), **body}, indent=2) + "\n"
+    body = report.to_json_dict()
+    return json.dumps({"config": cfg._asdict(), **({key: body} if key else body)},
+                      indent=2) + "\n"
 
 
-def _omega_spec(cfg: RunConfig) -> vn.OmegaSpec:
-    return vn.OmegaSpec(
-        c=cfg.c, f_mode=cfg.f_mode, f_const=cfg.f_const, strict=cfg.strict
-    )
+def _config_last(cfg: RunConfig, doc: dict, _key: None) -> str:
+    """export-group's class-data document, with the run config last."""
+    import json
+
+    return json.dumps({**doc, "config": cfg._asdict()}, indent=2) + "\n"
 
 
-# -- subcommand bodies ---------------------------------------------------------
-
-def _cmd_table(cfg: RunConfig) -> str:
-    tbl = ch.character_table(cfg.n, cfg.cap)
-    if cfg.fmt == "json":
-        return _json_report(cfg, {"table": tbl.to_json_dict()})
-    return tbl.to_csv() if cfg.fmt == "csv" else tbl.to_text()
-
-
-def _cmd_pzero(cfg: RunConfig) -> str:
-    p = vn.exact_pzero(cfg.n, cfg.cap)
-    if cfg.fmt == "json":
-        return _json_report(cfg, {"n": cfg.n, "p": gr.rational_json(p)})
-    return f"P_{cfg.n} = {_fmt_frac(p)}\n"
-
-
-def _cmd_bound(cfg: RunConfig) -> str:
-    rep = vn.lemma_bound(cfg.n, _omega_spec(cfg), cfg.exact, cfg.cap)
-    if cfg.fmt == "json":
-        return _json_report(cfg, {"bound": rep.to_json_dict()})
-    lines = [
-        f"n = {rep.n}",
-        f"p_n = {rep.p_n}",
-        f"|Omega| = {rep.omega_count}",
-        f"Q_n = {_fmt_frac(rep.q_n)}",
-        f"R_n = |Omega|/p_n = {_fmt_frac(rep.r_n)}",
-        f"lower bound Q_n - R_n = {_fmt_frac(rep.lower_bound)}",
-    ]
-    if rep.exact_p is not None:
-        lines.append(f"exact P_n = {_fmt_frac(rep.exact_p)}")
-        lines.append("bound check 1 >= P_n >= Q_n - R_n: OK")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_mc_pzero(cfg: RunConfig) -> str:
-    s = vn.montecarlo_pzero(cfg.n, cfg.samples, cfg.seed, cfg.cap)
-    if cfg.fmt == "json":
-        return _json_report(cfg, {"summary": s.to_json_dict()})
-    return (
-        f"P_{cfg.n} estimate = {s.estimate!r} +/- {s.std_error!r}"
-        f" ({s.samples} samples, seed {s.seed})\n"
-    )
-
-
-def _cmd_goncharov(cfg: RunConfig) -> str:
-    g = vn.goncharov_experiment(cfg.n, cfg.samples, cfg.seed)
-    if cfg.fmt == "csv":
-        lines = ["normalized_value"]
-        lines.extend(repr(v) for v in g.normalized_values)
-        return "\n".join(lines) + "\n"
-    if cfg.fmt == "json":
-        return _json_report(cfg, {
-            "n": g.n,
-            "sample_count": g.sample_count,
-            "seed": g.seed,
-            "ks_distance": g.ks_distance,
-        })
-    return (
-        f"cycle counts at n={g.n}: {g.sample_count} samples, seed {g.seed}\n"
-        f"KS distance to limit law = {g.ks_distance!r}\n"
-    )
-
-
-def _cmd_long_cycle(cfg: RunConfig) -> str:
-    s = vn.long_cycle_frequency(cfg.n, cfg.samples, cfg.seed)
-    if cfg.fmt == "json":
-        return _json_report(cfg, {"summary": s.to_json_dict()})
-    return (
-        f"freq(cycle >= n/(2 log n)) at n={cfg.n}:"
-        f" {s.estimate!r} +/- {s.std_error!r}"
-        f" ({s.samples} samples, seed {s.seed})\n"
-    )
-
-
-def _cmd_table_stats(cfg: RunConfig) -> str:
-    series = stats_series(cfg.n_min, cfg.n_max, cfg.cap)
-    if cfg.fmt == "csv":
-        return series_csv(series)
-    if cfg.fmt == "json":
-        return _json_report(cfg, {"series": [s.to_json_dict() for s in series]})
-    lines = []
-    for s in series:
-        ratio = "undefined" if s.sign_ratio is None else _fmt_frac(s.sign_ratio)
-        lines.append(
-            f"n={s.n}: zeros {s.zero_entries}, positives {s.positive_entries},"
-            f" negatives {s.negative_entries},"
-            f" zero density {_fmt_frac(s.zero_density)}, sign ratio {ratio}"
-        )
-    return "\n".join(lines) + "\n" if lines else "empty range\n"
-
-
-def _cmd_group(cfg: RunConfig) -> str:
+def _group(cfg: RunConfig) -> gr.GroupReport:
     try:
         with open(cfg.input_file, "rb") as fh:
             data = gr.load_class_data(fh)
     except OSError as e:
         raise ValueError(f"cannot read {cfg.input_file!r}: {e}") from None
-    omega = gr.default_omega(data)
-    rep = gr.proposition_bound(data, omega)
-    check = gr.best_omega_check(data) if cfg.exhaustive_omega else None
-    if cfg.fmt == "json":
-        body = {
-            "group": data.group_name,
-            "num_classes": data.num_classes,
-            "report": rep.to_json_dict(),
-        }
-        if check is not None:
-            body["omega_check"] = check.to_json_dict()
-        return _json_report(cfg, body)
-    lines = [
-        f"group {data.group_name!r}: order {data.order}, {data.num_classes} classes",
-        f"default Omega ({len(omega)} classes): {', '.join(rep.omega_names)}",
-        f"Q = {_fmt_frac(rep.q)}",
-        f"R = {_fmt_frac(rep.r)}",
-        f"lower bound Q - R = {_fmt_frac(rep.lower_bound)}",
-    ]
-    if rep.exact_p is not None:
-        lines.append(f"exact P = {_fmt_frac(rep.exact_p)}")
-        lines.append("bound check 1 >= P >= Q - R: OK")
-    if check is not None:
-        lines.append(
-            f"max of Q - R over subsets ({check.method},"
-            f" {check.subsets_checked} checked) = {_fmt_frac(check.max_value)};"
-            f" default attains it: {check.default_is_max}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_export_group(cfg: RunConfig) -> str:
-    import json
-
-    doc = gr.symmetric_group_json(cfg.n, cfg.cap)
-    doc["config"] = cfg._asdict()
-    return json.dumps(doc, indent=2) + "\n"
+    return gr.group_report(data, cfg.exhaustive_omega)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -246,9 +124,10 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, run, help, *adders, fmt=("text", "json"), default_fmt="text"):
+    def command(name, help, compute, *adders, key=None, fmt=("text", "json"),
+                default_fmt="text", render=_render):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=lambda cfg: render(cfg, compute(cfg), key))
         for add in adders:
             add(p)
         p.add_argument("--format", dest="fmt", choices=fmt, default=default_fmt)
@@ -260,16 +139,21 @@ def _build_parser() -> _ArgumentParser:
     def arg(*names, **kwargs):
         return lambda p: p.add_argument(*names, **kwargs)
 
-    def sampled(p):
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--seed", type=int, default=sp.DEFAULT_SEED)
+    sampled = (arg("--samples", type=int, default=10_000),
+               arg("--seed", type=int, default=sp.DEFAULT_SEED))
 
     n = arg("n", type=int)
     tables = ("text", "csv", "json")
-    command("table", _cmd_table, "export the character table of S_n", n,
-            fmt=tables, default_fmt="csv")
-    command("pzero", _cmd_pzero, "exact vanishing probability P_n", n)
-    command("bound", _cmd_bound, "lower-bound report for P_n", n,
+    command("table", "export the character table of S_n",
+            lambda cfg: ch.character_table(cfg.n, cfg.cap), n,
+            key="table", fmt=tables, default_fmt="csv")
+    command("pzero", "exact vanishing probability P_n",
+            lambda cfg: vn.PzeroReport(cfg.n, vn.exact_pzero(cfg.n, cfg.cap)), n)
+    command("bound", "lower-bound report for P_n",
+            lambda cfg: vn.lemma_bound(
+                cfg.n, vn.OmegaSpec(cfg.c, cfg.f_mode, cfg.f_const, cfg.strict),
+                cfg.exact, cfg.cap),
+            n,
             arg("--C", dest="c", type=float, default=vn.DEFAULT_C,
                 help="threshold constant (default sqrt(6)/(2 pi))"),
             arg("--f", default="log",
@@ -277,23 +161,28 @@ def _build_parser() -> _ArgumentParser:
             arg("--strict", action="store_true",
                 help="use a strict > threshold comparison"),
             arg("--no-exact", dest="exact", action="store_false",
-                help="skip the exact P_n computation"))
-    command("mc-pzero", _cmd_mc_pzero, "Monte Carlo estimate of P_n", n, sampled)
-    command("goncharov", _cmd_goncharov,
-            "normalized cycle-count sample vs the limit law", n, sampled,
-            fmt=("text", "json", "csv"))
-    command("long-cycle", _cmd_long_cycle,
-            "frequency of a cycle of length >= n/(2 log n)", n, sampled)
-    command("table-stats", _cmd_table_stats, "zero/sign statistics series",
+                help="skip the exact P_n computation"),
+            key="bound")
+    command("mc-pzero", "Monte Carlo estimate of P_n",
+            lambda cfg: vn.montecarlo_pzero(cfg.n, cfg.samples, cfg.seed, cfg.cap),
+            n, *sampled, key="summary")
+    command("goncharov", "normalized cycle-count sample vs the limit law",
+            lambda cfg: vn.goncharov_experiment(cfg.n, cfg.samples, cfg.seed),
+            n, *sampled, fmt=("text", "json", "csv"))
+    command("long-cycle", "frequency of a cycle of length >= n/(2 log n)",
+            lambda cfg: vn.long_cycle_frequency(cfg.n, cfg.samples, cfg.seed),
+            n, *sampled, key="summary")
+    command("table-stats", "zero/sign statistics series",
+            lambda cfg: StatsReport(stats_series(cfg.n_min, cfg.n_max, cfg.cap)),
             arg("n_min", type=int), arg("n_max", type=int),
             fmt=tables, default_fmt="csv")
-    command("group", _cmd_group, "bound report from a class-data file",
+    command("group", "bound report from a class-data file", _group,
             arg("input_file", metavar="file"),
             arg("--exhaustive-omega", action="store_true",
                 help="verify default Omega maximizes Q - R over subsets"))
-    command("export-group", _cmd_export_group,
-            "emit S_n as generic class-data JSON", n,
-            fmt=("json",), default_fmt="json")
+    command("export-group", "emit S_n as generic class-data JSON",
+            lambda cfg: gr.symmetric_group_json(cfg.n, cfg.cap), n,
+            fmt=("json",), default_fmt="json", render=_config_last)
     return top
 
 

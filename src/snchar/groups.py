@@ -14,10 +14,15 @@ k*|K| >= |G| (centralizer order at most k); best_omega_check verifies
 that maximality on concrete data.
 
 Input is a JSON document of class sizes, with an optional exact character
-table enabling exact P(G). Entries must be integers or rationals; tables
-with irrational or complex values are out of scope. Since every accepted
-table is real-valued, the second column orthogonality relation
-(sum over characters of chi(K)^2 = |G| / |K|) is enforced at load time.
+table enabling exact P(G). Integers are JSON integers or decimal strings,
+an optional sign and ASCII digits. Entries may also be {"num","den"}
+rationals; irrational or complex values are out of scope. Every accepted
+table is real, so the second column orthogonality relation (sum over
+characters of chi(K)^2 = |G| / |K|) is enforced at load time.
+
+rational_json and rational_text are the two forms of an exact rational in
+every report. Each report type, GroupReport here among them, renders its
+own text and JSON forms; cli only dispatches.
 """
 
 import random
@@ -43,13 +48,15 @@ class ClassData(NamedTuple):
 
 
 def _parse_int(value, what: str) -> int:
+    """A JSON integer, or a decimal string: an optional sign and ASCII
+    digits. int() alone would also take underscores, surrounding
+    whitespace and non-ASCII digits."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
-        try:
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if digits.isascii() and digits.isdigit():
             return int(value)
-        except ValueError:
-            pass
     raise ValueError(f"{what} must be a decimal integer, got {value!r}")
 
 
@@ -62,18 +69,15 @@ def rational_json(x: Fraction | None) -> dict | None:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+def rational_text(x: Fraction) -> str:
+    """Text form of a rational: the exact fraction, then its decimal to 15
+    significant digits in parentheses."""
+    return f"{x} ({float(x):.15g})"
+
+
 def _parse_entry(value, where: str) -> int | Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"table entry {where} must be an integer or rational")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            raise ValueError(
-                f"table entry {where} must be a decimal-string integer, got {value!r}"
-            ) from None
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return _parse_int(value, f"table entry {where}")
     if isinstance(value, dict) and set(value) == {"num", "den"}:
         num = _parse_int(value["num"], f"table entry {where} numerator")
         den = _parse_int(value["den"], f"table entry {where} denominator")
@@ -299,3 +303,44 @@ def best_omega_check(data: ClassData) -> OmegaCheckRecord:
         default_value=Fraction(default_w, scale),
         default_is_max=default_w == best,
     )
+
+
+class GroupReport(NamedTuple):
+    """The group subcommand's report on class data: the bound for the
+    default Omega and, when it was run, the subset check."""
+    data: ClassData
+    bound: PropositionReport
+    check: OmegaCheckRecord | None
+
+    def to_text(self) -> str:
+        data, rep, check = self
+        lines = [
+            f"group {data.group_name!r}: order {data.order}, {data.num_classes} classes",
+            f"default Omega ({len(rep.omega_names)} classes): {', '.join(rep.omega_names)}",
+            f"Q = {rational_text(rep.q)}",
+            f"R = {rational_text(rep.r)}",
+            f"lower bound Q - R = {rational_text(rep.lower_bound)}",
+        ]
+        if rep.exact_p is not None:
+            lines.append(f"exact P = {rational_text(rep.exact_p)}")
+            lines.append("bound check 1 >= P >= Q - R: OK")
+        if check is not None:
+            lines.append(
+                f"max of Q - R over subsets ({check.method},"
+                f" {check.subsets_checked} checked) = {rational_text(check.max_value)};"
+                f" default attains it: {check.default_is_max}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def to_json_dict(self) -> dict:
+        body = {"group": self.data.group_name, "num_classes": self.data.num_classes,
+                "report": self.bound.to_json_dict()}
+        if self.check is not None:
+            body["omega_check"] = self.check.to_json_dict()
+        return body
+
+
+def group_report(data: ClassData, check: bool = False) -> GroupReport:
+    """The bound for default_omega(data), with best_omega_check if check."""
+    return GroupReport(data, proposition_bound(data, default_omega(data)),
+                       best_omega_check(data) if check else None)

@@ -348,6 +348,14 @@ class SampleSummary(NamedTuple):
         est = hits / samples
         return cls(est, samples, math.sqrt(est * (1.0 - est) / samples), seed, extra)
 
+    def to_text(self) -> str:
+        """One line, led by the statistic that extra names, at extra["n"]."""
+        n = self.extra["n"]
+        head = (f"P_{n} estimate =" if self.extra["statistic"] == "pzero"
+                else f"freq(cycle >= n/(2 log n)) at n={n}:")
+        return (f"{head} {self.estimate!r} +/- {self.std_error!r}"
+                f" ({self.samples} samples, seed {self.seed})\n")
+
     def to_json_dict(self) -> dict:
         return {
             "estimate": self.estimate,

@@ -4,7 +4,8 @@ These statistics weight all p_n^2 table entries equally (character and
 class both uniform), which is a different measure from the class-size
 weighting used for P_n; both get reported so the distinction stays
 visible. No limiting value is asserted anywhere: the series exists for
-inspection, with reference distances to 1/e and 1/3 included.
+inspection, with reference distances to 1/e and 1/3 included. StatsReport
+holds a series and renders it as text, as series_csv and as JSON.
 """
 
 import math
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from . import characters as ch
 from . import partitions as pt
-from .groups import rational_json
+from .groups import rational_json, rational_text
 
 
 class TableStats(NamedTuple):
@@ -98,3 +99,23 @@ def series_csv(series) -> str:
             f"{abs(d - 1.0 / math.e):.10f},{abs(d - 1.0 / 3.0):.10f}"
         )
     return "\n".join(lines) + "\n"
+
+
+class StatsReport(NamedTuple):
+    """The table-stats subcommand's report: one TableStats per n."""
+    series: list[TableStats]
+
+    def to_text(self) -> str:
+        return "".join(
+            f"n={s.n}: zeros {s.zero_entries}, positives {s.positive_entries},"
+            f" negatives {s.negative_entries},"
+            f" zero density {rational_text(s.zero_density)}, sign ratio"
+            f" {'undefined' if s.sign_ratio is None else rational_text(s.sign_ratio)}\n"
+            for s in self.series
+        ) or "empty range\n"
+
+    def to_csv(self) -> str:
+        return series_csv(self.series)
+
+    def to_json_dict(self) -> dict:
+        return {"series": [s.to_json_dict() for s in self.series]}

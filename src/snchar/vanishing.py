@@ -32,7 +32,7 @@ from typing import NamedTuple
 from . import characters as ch
 from . import partitions as pt
 from . import sampling as sp
-from .groups import rational_json
+from .groups import rational_json, rational_text
 from .sampling import SampleSummary
 
 DEFAULT_C = math.sqrt(6.0) / (2.0 * math.pi)
@@ -137,6 +137,18 @@ def exact_pzero(n: int, cap: int | None = None) -> Fraction:
     return Fraction(weighted, math.factorial(n) * pt.partition_count(n))
 
 
+class PzeroReport(NamedTuple):
+    """Exact P_n as the pzero subcommand reports it."""
+    n: int
+    p: Fraction
+
+    def to_text(self) -> str:
+        return f"P_{self.n} = {rational_text(self.p)}\n"
+
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "p": rational_json(self.p)}
+
+
 class BoundReport(NamedTuple):
     """Everything the two-sided bound needs, exact.
 
@@ -150,6 +162,18 @@ class BoundReport(NamedTuple):
     r_n: Fraction
     lower_bound: Fraction
     exact_p: Fraction | None
+
+    def to_text(self) -> str:
+        lines = [
+            f"n = {self.n}", f"p_n = {self.p_n}", f"|Omega| = {self.omega_count}",
+            f"Q_n = {rational_text(self.q_n)}",
+            f"R_n = |Omega|/p_n = {rational_text(self.r_n)}",
+            f"lower bound Q_n - R_n = {rational_text(self.lower_bound)}",
+        ]
+        if self.exact_p is not None:
+            lines.append(f"exact P_n = {rational_text(self.exact_p)}")
+            lines.append("bound check 1 >= P_n >= Q_n - R_n: OK")
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,13 +285,24 @@ def ks_distance(values, cdf) -> float:
 
 class GoncharovSample(NamedTuple):
     """Normalized cycle counts of sampled permutations plus their KS
-    distance to the limit law.
+    distance to the limit law. The values are in the CSV form only.
     """
     n: int
     sample_count: int
     seed: int
     normalized_values: tuple[float, ...]
     ks_distance: float
+
+    def to_text(self) -> str:
+        return (f"cycle counts at n={self.n}: {self.sample_count} samples, seed {self.seed}\n"
+                f"KS distance to limit law = {self.ks_distance!r}\n")
+
+    def to_csv(self) -> str:
+        return "\n".join(["normalized_value", *map(repr, self.normalized_values)]) + "\n"
+
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "sample_count": self.sample_count,
+                "seed": self.seed, "ks_distance": self.ks_distance}
 
 
 def goncharov_experiment(n: int, samples: int, seed: int = sp.DEFAULT_SEED) -> GoncharovSample:

@@ -136,6 +136,50 @@ class TestLoader:
         )
 
 
+class TestDecimalStrings:
+    """Integers in class data are decimal strings: an optional sign and
+    ASCII digits. int() would also read each form below as the valid
+    number (the digit is ARABIC-INDIC DIGIT SIX); each is refused."""
+
+    FORMS = pytest.mark.parametrize("text", ["0_6", " 6", "6 ", "\u0666"],
+                                    ids=["underscore", "leading-space",
+                                         "trailing-space", "non-ascii-digit"])
+
+    @FORMS
+    def test_order(self, text):
+        with pytest.raises(ValueError, match="group order must be a decimal integer"):
+            load(s3_doc(order=text))
+
+    @FORMS
+    def test_class_size(self, text):
+        doc = s3_doc()
+        doc["classes"][1]["size"] = text.replace("6", "3").replace("\u0666", "\u0663")
+        with pytest.raises(ValueError, match="size of class '2-1' must be a decimal integer"):
+            load(doc)
+
+    @FORMS
+    def test_table_entry(self, text):
+        doc = s3_doc()
+        doc["table"][1][2] = text.replace("6", "2").replace("\u0666", "\u0662")
+        with pytest.raises(ValueError, match=r"table entry \[1\]\[2\] must be a decimal integer"):
+            load(doc)
+
+    @FORMS
+    def test_rational_numerator(self, text):
+        doc = s3_doc()
+        doc["table"][1][2] = {"num": text.replace("6", "4").replace("\u0666", "\u0664"),
+                              "den": "2"}
+        with pytest.raises(ValueError,
+                           match=r"table entry \[1\]\[2\] numerator must be a decimal integer"):
+            load(doc)
+
+    def test_signs_are_accepted(self):
+        doc = s3_doc(order="+6")
+        doc["table"][1][2] = {"num": "+4", "den": "+2"}
+        data = load(doc)
+        assert data.order == 6 and data.table[1][2] == 2 and data.table[1][0] == -1
+
+
 class TestDefaultOmega:
     def test_s3(self):
         data = load(s3_doc())

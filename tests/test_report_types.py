@@ -10,7 +10,7 @@ from snchar import cli
 from snchar import groups as gr
 from snchar import sampling as sp
 from snchar import vanishing as vn
-from snchar.table_stats import table_stats
+from snchar.table_stats import StatsReport, table_stats
 
 
 def _instances():
@@ -20,7 +20,10 @@ def _instances():
         "ClassData": data,
         "PropositionReport": gr.proposition_bound(data, gr.default_omega(data)),
         "OmegaCheckRecord": gr.best_omega_check(data),
+        "GroupReport": gr.group_report(data, check=True),
         "TableStats": table_stats(3),
+        "StatsReport": StatsReport([table_stats(3)]),
+        "PzeroReport": vn.PzeroReport(3, vn.exact_pzero(3)),
         "OmegaSpec": vn.OmegaSpec(),
         "BoundReport": vn.lemma_bound(6),
         "GoncharovSample": vn.goncharov_experiment(10, 5, seed=1),
@@ -79,3 +82,14 @@ def test_run_config_field_order():
         "f_const", "strict", "exact", "fmt", "output", "cap", "threads",
         "input_file", "exhaustive_omega",
     ]
+
+
+def test_the_cli_prints_each_report_s_own_forms(capsys):
+    rep = vn.lemma_bound(12, compute_exact=True)
+    assert cli.run(["bound", "12"]) == 0
+    assert capsys.readouterr().out == rep.to_text()
+    stats = StatsReport([table_stats(n) for n in (3, 4)])
+    assert cli.run(["table-stats", "3", "4"]) == 0
+    assert capsys.readouterr().out == stats.to_csv()
+    assert cli.run(["table-stats", "3", "4", "--format", "text"]) == 0
+    assert capsys.readouterr().out == stats.to_text()
