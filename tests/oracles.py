@@ -28,6 +28,10 @@ for the fast path that replaced it:
   the tests check on their own;
 - reference_ks_distance, which evaluates the CDF once per sample, for
   vanishing.ks_distance, which evaluates it once per distinct value.
+
+core_count and hook_free_rate count the t-cores, the shapes with no hook
+of length t, from their generating function, for the zeros that the Monte
+Carlo loop takes without a sweep.
 """
 
 import itertools
@@ -456,3 +460,44 @@ def parts_count_law_by_classes(n: int, partitions_of) -> dict[int, Fraction]:
         m = len(lam)
         law[m] = law.get(m, Fraction(0)) + Fraction(1, centralizer_order(lam))
     return law
+
+
+# -- t-cores ----------------------------------------------------------------------
+
+def core_count(n: int, t: int) -> int:
+    """Number of t-cores of n, partitions with no hook of length t: the q^n
+    coefficient of prod_k (1 - q^(tk))^t / (1 - q^k) (Garvan-Kim-Stanton,
+    "Cranks and t-cores", Invent. Math. 1990), as a series cut at q^n.
+    """
+    if t < 1:
+        raise ValueError("t must be positive")
+    c = [1] + [0] * n
+    for k in range(1, n + 1):  # 1 / (1 - q^k)
+        for m in range(k, n + 1):
+            c[m] += c[m - k]
+    for s in range(t, n + 1, t):  # (1 - q^s)^t for s = t k
+        for _ in range(t):
+            for m in range(n, s - 1, -1):
+                c[m] -= c[m - s]
+    return c[n]
+
+
+def _all_cycles_at_most(n: int, t: int) -> int:
+    """n! times the probability that every cycle of a uniform permutation
+    of S_n is at most t long: with e_0 = n!, m e_m = e_(m-1) + ... +
+    e_(m-t), and e_m / n! is that probability for S_m."""
+    e = [math.factorial(n)]
+    for m in range(1, n + 1):
+        e.append(sum(e[max(0, m - t):m]) // m)
+    return e[n]
+
+
+def hook_free_rate(n: int) -> Fraction:
+    """L_n, the probability that a uniform shape of n has no hook of length
+    mu_1, the longest cycle of a uniform permutation of S_n: the sum over t
+    of Pr[mu_1 = t] c_t(n) / p_n. Each such character value is 0, so
+    L_n <= P_n. At t = n + 1 every factor 1 - q^(tk) is 1 up to q^n, so
+    c_(n+1)(n) = p_n."""
+    at_most = [_all_cycles_at_most(n, t) for t in range(n + 1)]
+    weighted = sum((at_most[t] - at_most[t - 1]) * core_count(n, t) for t in range(1, n + 1))
+    return Fraction(weighted, math.factorial(n) * core_count(n, n + 1))  # p_n
