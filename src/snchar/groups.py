@@ -27,6 +27,7 @@ own text and JSON forms; cli only dispatches.
 
 import random
 from fractions import Fraction
+from itertools import compress, repeat
 from math import factorial
 from typing import NamedTuple
 
@@ -266,10 +267,11 @@ def best_omega_check(data: ClassData) -> OmegaCheckRecord:
     Q - R = sum over chosen classes of w_K/(k*|G|) with integer weights
     w_K = k*size(K) - |G|, so subsets are scanned with integer arithmetic
     only. k <= 20 is exhaustive (Gray-code single-flip updates). Larger k
-    scans random subsets, but that scan can never change the result: best
-    starts at default_w, the sum of the nonnegative weights, which bounds
-    every subset sum, so the sampled branch always reports
-    max_value = default_value (the greedy maximum, proved by that bound).
+    scans SAMPLED_SUBSETS subsets of Random(0), one getrandbits(1) per class
+    in class order: SAMPLED_SUBSETS * k draws, with no cap. That scan can
+    never change the result: best starts at default_w, the sum of the
+    nonnegative weights, which bounds every subset sum, so the sampled
+    branch always reports max_value = default_value (the greedy maximum).
     """
     k = data.num_classes
     scale = k * data.order
@@ -288,10 +290,10 @@ def best_omega_check(data: ClassData) -> OmegaCheckRecord:
         checked = 1 << k
         method = "exhaustive"
     else:
-        rng = random.Random(0)
+        bits = random.Random(0).getrandbits
         best = max(0, default_w)
         for _ in range(SAMPLED_SUBSETS):
-            acc = sum(w for w in weights if rng.getrandbits(1))
+            acc = sum(compress(weights, map(bits, repeat(1, k))))
             if acc > best:
                 best = acc
         checked = SAMPLED_SUBSETS

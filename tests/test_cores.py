@@ -40,6 +40,18 @@ def test_core_count_matches_a_count_of_bead_masks(n):
             assert orc.core_count(n, t) == pt.partition_count(n) - t * pt.partition_count(n - t)
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_each_class_vanishes_on_its_cores(n):
+    # for each class mu, the shapes with no hook of length mu_1 are the
+    # mu_1-cores, and chi(mu) = 0 on every one of them
+    rows = pt.count_rows(n)
+    masks = [ch.rank_beads(n, r, rows) for r in range(rows[n][n])]
+    for mu, col in ch.class_columns(n):
+        cores = [r for r, b in enumerate(masks) if _no_hook(b, mu[0])]
+        assert len(cores) == orc.core_count(n, mu[0]), mu
+        assert all(col[r] == 0 for r in cores), mu
+
+
 def test_hook_free_rate_is_below_exact_pzero():
     for n, counts in EXACT.items():
         assert orc.hook_free_rate(int(n)) <= Fraction(counts["p_n"]), n

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,50 @@ class TestBestOmega:
         # every class has k*size = 22 >= 22, all weights zero: max is 0
         assert rec.max_value == 0
         assert rec.default_is_max
+
+    @staticmethod
+    def _mixed_signs():
+        # 25 classes take the sampled branch; weights k*size - order of both signs
+        sizes = (1,) * 15 + (2,) * 5 + (10, 20, 30, 40, 50)
+        return gr.ClassData(
+            group_name="mock", order=sum(sizes),
+            class_names=tuple(f"c{i}" for i in range(len(sizes))),
+            class_sizes=sizes,
+        )
+
+    def test_sampled_draws_one_bit_per_class(self, monkeypatch):
+        # no output shows the scan's draws (best never moves), so count them
+        calls = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                calls.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(gr.random, "Random", Recording)
+        monkeypatch.setattr(gr, "SAMPLED_SUBSETS", 64)
+        data = self._mixed_signs()
+        rec = gr.best_omega_check(data)
+        assert rec.method == "sampled" and rec.subsets_checked == 64
+        assert calls == [1] * (64 * data.num_classes)
+
+    def test_sampled_draws_one_word_per_bit(self, monkeypatch):
+        # at full size the generator ends where one 32-bit word per draw
+        # leaves Random(0)
+        made = []
+
+        class Kept(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        data = self._mixed_signs()
+        want = random.Random(0)
+        want.getrandbits(32 * gr.SAMPLED_SUBSETS * data.num_classes)
+        monkeypatch.setattr(gr.random, "Random", Kept)
+        gr.best_omega_check(data)
+        assert len(made) == 1
+        assert made[0].getstate() == want.getstate()
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=11))
     def test_exhaustive_max_equals_greedy(self, sizes):
