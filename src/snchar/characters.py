@@ -6,9 +6,9 @@ strip of size t is removable at bead b exactly when b >= t and bit b - t is
 clear; removing it moves the bead to b - t, with sign (-1) to the number of
 beads strictly between. A mask is normalised by shifting out its trailing
 one bits (zero parts), so equal shapes meet as equal ints. _strips is this
-move, and both evaluators use it. _beads builds the mask of a parts
-tuple and rank_beads that of a canonical rank, from a counting table of
-partitions.count_rows; no other module builds one.
+move, and both evaluators use it. _beads, the one mask builder, reads a
+shape's parts largest first; rank_beads feeds it those of a canonical rank,
+from a counting table of partitions.count_rows. No other module builds one.
 
 mn_value gives single values by a layer sweep: a map from bead mask to
 signed coefficient starts at the shape, each part t of mu replaces every
@@ -41,25 +41,19 @@ from .partitions import Partition
 _Op = Callable[[list[int]], list[int]]  # a strip operator A_(m,t)
 
 
-def _beads(shape: Partition) -> int:
-    """Bead mask of a shape; parts are positive, so it is normalised."""
-    m = len(shape)
-    return sum(1 << (part + m - 1 - i) for i, part in enumerate(shape))
-
-
-def rank_beads(n: int, r: int, rows: list[list[int]], t: int = 0) -> int:
-    """Bead mask of the shape of n >= 1 at canonical rank r, its parts read
-    off pt.parts_at(n, r, rows) largest first; 0 as soon as the shape is
-    seen to have no hook of length t, so t = 0 always gives the mask.
+def _beads(parts: Iterator[int], n: int, t: int = 0) -> int:
+    """The one mask builder: the bead mask of the shape of n whose parts,
+    positive and largest first, the iterator parts yields. 0 for the empty
+    shape, and 0 as soon as the shape is seen to have no hook of length t,
+    so t = 0 always gives the mask.
 
     Every hook is at most lambda_1 + l(lambda) - 1. With j parts read and s
     cells left, l(lambda) <= j + s: reach = lambda_1 + j + s - 1 is n after
     the first part, never grows, and ends at lambda_1 + l(lambda) - 1.
     """
-    if n < t:
+    last = next(parts, 0)
+    if n < t or not last:
         return 0
-    parts = pt.parts_at(n, r, rows)
-    last = next(parts)
     beads, reach = 1, n
     for k in parts:
         reach -= k - 1
@@ -70,6 +64,12 @@ def rank_beads(n: int, r: int, rows: list[list[int]], t: int = 0) -> int:
         beads = beads << (last - k + 1) | 1
         last = k
     return beads << last
+
+
+def rank_beads(n: int, r: int, rows: list[list[int]], t: int = 0) -> int:
+    """_beads of the shape of n >= 1 at canonical rank r, its parts read
+    off pt.parts_at(n, r, rows)."""
+    return _beads(pt.parts_at(n, r, rows), n, t)
 
 
 def _strips(beads: int, t: int) -> list[tuple[int, int]]:
@@ -100,7 +100,7 @@ def mn_value(shape, mu) -> int:
         raise ValueError(f"shape sums to {n} but cycle type sums to {sum(m)}")
     if n == 0:
         raise ValueError("partitions of 0 index no character value")
-    return _sweep(_beads(sh), m)
+    return _sweep(_beads(iter(sh), n), m)
 
 
 def _sweep(beads: int, mu) -> int:
@@ -183,20 +183,20 @@ class CharacterTable(NamedTuple):
                 "classes": classes, "values": rows}
 
 
-def _operator(sources: list[Partition], targets: list[Partition], t: int) -> _Op:
-    """A_(m,t) from the shapes of m to those of m + t, as a function.
+def _operator(shapes: list[list[Partition]], m: int, t: int) -> _Op:
+    """A_(m,t) from shapes[m] to shapes[m + t], the shapes of m and m + t.
 
     A row lists its signed sources as indices into vec + -vec + [0]; the
     trailing sentinel 0 keeps itemgetter returning a tuple for one index.
     Row sums are differences of one running sum taken at the row ends.
     """
-    rank = {_beads(sh): r for r, sh in enumerate(sources)}
-    shift = len(sources)
+    rank = {_beads(iter(sh), m): r for r, sh in enumerate(shapes[m])}
+    shift = len(shapes[m])
     flat: list[int] = []
     ends = [0]
-    for sh in targets:
+    for sh in shapes[m + t]:
         flat.extend(rank[b] if sign > 0 else rank[b] + shift
-                    for b, sign in _strips(_beads(sh), t))
+                    for b, sign in _strips(_beads(iter(sh), m + t), t))
         ends.append(len(flat))
     gather = itemgetter(*flat, 2 * shift)
     at_ends = itemgetter(*ends)  # p_(m+t) + 1 >= 2 indices: always a tuple
@@ -226,7 +226,7 @@ def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, l
         t, nu, s, vec = stack.pop()
         apply = ops.get((s, t))
         if apply is None:
-            apply = ops[s, t] = _operator(shapes[s], shapes[s + t], t)
+            apply = ops[s, t] = _operator(shapes, s, t)
         nu, s, vec = (t,) + nu, s + t, apply(vec)
         rest = n - s
         if not rest:

@@ -10,7 +10,8 @@ Five exceptions are former package code, kept verbatim as the reference
 for the fast path that replaced it:
 
 - reference_mn, the strip-removal kernel on sorted beta lists, for the
-  bead-mask kernel;
+  bead-mask kernel, and bead_mask, a sum over the parts of a shape, for
+  characters._beads, the loop that reads them one at a time;
 - omega_set and q_of_omega (with their bounded_partitions generator), the
   enumeration of Omega and the sum of 1/z over it, for the closed-form Q_n
   and |Omega| of lemma_bound. They use the package's cap, partition count
@@ -63,16 +64,6 @@ def cycle_type_of(perm: tuple) -> tuple:
         lengths.append(length)
     lengths.sort(reverse=True)
     return tuple(lengths)
-
-
-def parity_by_inversions(perm: tuple) -> int:
-    """+1 or -1 via inversion count (no cycle-structure shortcut)."""
-    inv = sum(
-        1
-        for i, j in itertools.combinations(range(len(perm)), 2)
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
 
 
 def brute_classes(n: int) -> dict[tuple, int]:
@@ -201,6 +192,12 @@ def _strip_removals(shape: tuple, t: int) -> list[tuple[tuple, int]]:
             ns = ns[:-1]
         out.append((ns, -1 if height % 2 else 1))
     return out
+
+
+def bead_mask(shape: tuple) -> int:
+    """Bead mask of a shape; parts are positive, so it is normalised."""
+    m = len(shape)
+    return sum(1 << (part + m - 1 - i) for i, part in enumerate(shape))
 
 
 def reference_mn(shape: tuple, mu: tuple, memo: dict) -> int:
@@ -447,19 +444,6 @@ def parts_count_law(n: int) -> dict[int, Fraction]:
             nxt[m + 1] += c * move
         poly = nxt
     return {m: c for m, c in enumerate(poly) if c}
-
-
-def parts_count_law_by_classes(n: int, partitions_of) -> dict[int, Fraction]:
-    """Same law the slow way: sum 1/z over partitions with m parts.
-    Takes the package's enumerator plus centralizer as inputs so the two
-    routes stay structurally independent.
-    """
-    enumerate_partitions, centralizer_order = partitions_of
-    law: dict[int, Fraction] = {}
-    for lam in enumerate_partitions(n):
-        m = len(lam)
-        law[m] = law.get(m, Fraction(0)) + Fraction(1, centralizer_order(lam))
-    return law
 
 
 # -- t-cores ----------------------------------------------------------------------

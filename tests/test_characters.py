@@ -62,7 +62,7 @@ class TestSingleValues:
         for n in range(1, 9):
             lams = pt.enumerate_partitions(n)
             for sh in lams:
-                beads = ch._beads(sh)
+                beads = orc.bead_mask(sh)
                 for mu in lams:
                     assert ch._sweep(beads, mu) == ch.mn_value(sh, mu), (sh, mu)
 

@@ -349,16 +349,22 @@ class TestPartsPathSweeps:
 class TestRankBeads:
     def test_every_rank_and_strip_length_up_to_14(self):
         # the full mask at t = 0; else 0 exactly when the corner hook
-        # lambda_1 + l(lambda) - 1, the longest, is shorter than t
+        # lambda_1 + l(lambda) - 1, the longest, is shorter than t. The one
+        # builder reads a rank's parts or a shape's tuple alike, and gives
+        # the empty shape mask 0.
         rows = pt.count_rows(14)
+        assert ch._beads(iter(()), 0) == 0
         for n in range(1, 15):
             for r in range(pt.partition_count(n)):
-                full = ch._beads(pt.unrank(n, r, rows))
+                sh = pt.unrank(n, r, rows)
+                full = orc.bead_mask(sh)
                 assert ch.rank_beads(n, r, rows) == full, (n, r)
+                assert ch._beads(iter(sh), n) == full, sh
                 longest = max(_hook_lengths(full))
                 for t in range(n + 2):
                     want = 0 if longest < t else full
                     assert ch.rank_beads(n, r, rows, t) == want, (n, r, t)
+                    assert ch._beads(iter(sh), n, t) == want, (sh, t)
 
 
 class TestSampledOmegaCheck:

@@ -27,7 +27,8 @@ def test_closed_pipe_exits_quietly(argv):
     )
     header = proc.stdout.readline()
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1, err
     assert header.startswith(b"n,")
     assert "Traceback" not in err and "Exception ignored" not in err, err
