@@ -7,8 +7,9 @@ clear; removing it moves the bead to b - t, with sign (-1) to the number of
 beads strictly between. A mask is normalised by shifting out its trailing
 one bits (zero parts), so equal shapes meet as equal ints. _strips is this
 move, and both evaluators use it. _beads, the one mask builder, reads a
-shape's parts largest first; rank_beads feeds it those of a canonical rank,
-from a counting table of partitions.count_rows. No other module builds one.
+shape's parts largest first. rank_beads, the one route from a canonical
+rank to a mask, feeds it the parts read off a counting table of
+partitions; mn_value alone feeds it a tuple. No other module builds one.
 
 mn_value gives single values by a layer sweep: a map from bead mask to
 signed coefficient starts at the shape, each part t of mu replaces every
@@ -21,8 +22,10 @@ the t-strips added to nu (Macdonald, Symmetric Functions, ch. I): the
 column chi^.(t, nu) is a sparse signed operator A_(|nu|,t) applied to the
 column chi^.(nu). class_columns walks the cycle types depth first as a trie
 of suffixes from the root () with column [1]; a child of nu prepends a part
-t >= nu_1 whose remainder parts >= t can still fill. Only the vectors on the
-current path are alive, and each operator is built when first reached.
+t >= nu_1 whose remainder parts >= t can still fill. The walk holds shapes
+as masks only: from one counting table, rank_beads builds the level masks
+of each m <= n once, in canonical order, and each operator is built from
+two levels when first reached. Only the vectors on the current path live.
 
 Everything is exact integer arithmetic; there is no floating point here.
 partitions.check_table_cap caps a table's p_n^2 entries; CharacterTable
@@ -183,20 +186,20 @@ class CharacterTable(NamedTuple):
                 "classes": classes, "values": rows}
 
 
-def _operator(shapes: list[list[Partition]], m: int, t: int) -> _Op:
-    """A_(m,t) from shapes[m] to shapes[m + t], the shapes of m and m + t.
+def _operator(src: list[int], dst: list[int], t: int) -> _Op:
+    """A_(m,t) from src to dst, the level masks of m and m + t.
 
     A row lists its signed sources as indices into vec + -vec + [0]; the
     trailing sentinel 0 keeps itemgetter returning a tuple for one index.
     Row sums are differences of one running sum taken at the row ends.
     """
-    rank = {_beads(iter(sh), m): r for r, sh in enumerate(shapes[m])}
-    shift = len(shapes[m])
+    rank = {b: r for r, b in enumerate(src)}
+    shift = len(src)
     flat: list[int] = []
     ends = [0]
-    for sh in shapes[m + t]:
+    for beads in dst:
         flat.extend(rank[b] if sign > 0 else rank[b] + shift
-                    for b, sign in _strips(_beads(iter(sh), m + t), t))
+                    for b, sign in _strips(beads, t))
         ends.append(len(flat))
     gather = itemgetter(*flat, 2 * shift)
     at_ends = itemgetter(*ends)  # p_(m+t) + 1 >= 2 indices: always a tuple
@@ -216,7 +219,8 @@ def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, l
     if n < 1:
         raise ValueError("n must be positive")
     pt.check_table_cap(n, cap)
-    shapes = [pt.enumerate_partitions(m, cap) for m in range(n + 1)]
+    rows = pt._rows(n)  # the p_n^2 check above is the walk's one cap check
+    masks = [[rank_beads(m, r, rows) for r in range(rows[m][m])] for m in range(n + 1)]
     ops: dict[tuple[int, int], _Op] = {}
     # Entries are (t, nu, |nu|, chi^.(nu)); the child (t,) + nu is computed
     # when popped. A child takes t = rest or t <= rest // 2, so its own rest
@@ -226,7 +230,7 @@ def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, l
         t, nu, s, vec = stack.pop()
         apply = ops.get((s, t))
         if apply is None:
-            apply = ops[s, t] = _operator(shapes, s, t)
+            apply = ops[s, t] = _operator(masks[s], masks[s + t], t)
         nu, s, vec = (t,) + nu, s + t, apply(vec)
         rest = n - s
         if not rest:

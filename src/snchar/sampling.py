@@ -132,10 +132,10 @@ class Stream:
 
         Lemire's method: the high part of draw * bound is the result,
         and a draw whose low part falls under 2^w mod bound is redrawn
-        (w = 32 up to bound 2^32, else 64). bound 1 draws nothing, and
-        the full ranges 2^32 and 2^64 return a raw half or word.
+        (w = 32 up to bound 2^32, else 64). bound 1 draws nothing; at
+        bound 2^w the floor is 0, so the raw half or word is returned.
         """
-        if bound < 1 << 32:
+        if bound <= 1 << 32:
             if bound < 2:
                 if bound == 1:
                     return 0
@@ -146,17 +146,13 @@ class Stream:
                 while m & MASK32 < floor:
                     m = self._half() * bound
             return m >> 32
-        if bound == 1 << 32:
-            return self._half()
-        if bound < 1 << 64:
+        if bound <= 1 << 64:
             m = self._word() * bound
             if m & MASK64 < bound:
                 floor = (1 << 64) % bound
                 while m & MASK64 < floor:
                     m = self._word() * bound
             return m >> 64
-        if bound == 1 << 64:
-            return self._word()
         raise ValueError("bound must be at most 2^64")
 
     def cycle_lengths(self, n: int) -> list[int]:

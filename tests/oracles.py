@@ -33,6 +33,11 @@ for the fast path that replaced it:
 core_count and hook_free_rate count the t-cores, the shapes with no hook
 of length t, from their generating function, for the zeros that the Monte
 Carlo loop takes without a sweep.
+
+rectangular_value gives whole columns at the classes (t^k) by Littlewood's
+formula on the t-quotient, read off an abacus, for the strip operators of
+characters.class_columns: a theorem other than Murnaghan-Nakayama, with
+hook-length dimensions and no strip removal.
 """
 
 import itertools
@@ -485,3 +490,40 @@ def hook_free_rate(n: int) -> Fraction:
     at_most = [_all_cycles_at_most(n, t) for t in range(n + 1)]
     weighted = sum((at_most[t] - at_most[t - 1]) * core_count(n, t) for t in range(1, n + 1))
     return Fraction(weighted, math.factorial(n) * core_count(n, n + 1))  # p_n
+
+
+# -- t-quotients ------------------------------------------------------------------
+
+def _runner_parity(beta: list[int], t: int) -> int:
+    """Parity of the beads, largest first, read runner by runner (runner
+    b mod t, each largest first) against their natural order."""
+    order = [b for j in range(t) for b in beta if b % t == j]
+    return sum(a < b for i, a in enumerate(order) for b in order[i + 1:]) & 1
+
+
+def rectangular_value(shape: tuple, t: int, k: int) -> int:
+    """chi^shape at the class (t^k) of S_(tk), by Littlewood's formula
+    (James-Kerber, 2.7): 0 unless shape has an empty t-core, else
+    sigma * k! / prod |q_j|! * prod f^(q_j) over the t-quotient q_0..q_(t-1).
+
+    On an abacus of t runners with a multiple of t beads, the core is empty
+    when every runner holds as many beads, and q_j is read off runner j.
+    sigma is the parity of the runner-by-runner reading, normalised by the
+    same parity for the empty shape with as many beads.
+    """
+    if t * k != sum(shape) or not shape:
+        raise ValueError(f"{shape} does not partition {t} * {k} > 0")
+    beads = -(-len(shape) // t) * t
+    depth = beads // t
+    parts = list(shape) + [0] * (beads - len(shape))
+    beta = [p + beads - 1 - i for i, p in enumerate(parts)]
+    value = math.factorial(k)
+    for j in range(t):
+        runner = [b // t for b in beta if b % t == j]  # positions, largest first
+        if len(runner) != depth:
+            return 0
+        q = tuple(p + i for i, p in enumerate(runner, 1 - depth) if p + i)
+        # k! / (|q_0|! ... |q_j|!) is an integer at every j
+        value = value // math.factorial(sum(q)) * (ch.dimension(q) if q else 1)
+    odd = _runner_parity(beta, t) ^ _runner_parity(list(range(beads - 1, -1, -1)), t)
+    return -value if odd else value
