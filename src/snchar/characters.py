@@ -70,7 +70,7 @@ def _beads(parts: Iterator[int], n: int, t: int = 0) -> int:
 
 
 def rank_beads(n: int, r: int, rows: list[list[int]], t: int = 0) -> int:
-    """_beads of the shape of n >= 1 at canonical rank r, its parts read
+    """_beads of the shape of n >= 0 at canonical rank r, its parts read
     off pt.parts_at(n, r, rows)."""
     return _beads(pt.parts_at(n, r, rows), n, t)
 

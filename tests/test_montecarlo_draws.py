@@ -351,9 +351,9 @@ class TestRankBeads:
         # the full mask at t = 0; else 0 exactly when the corner hook
         # lambda_1 + l(lambda) - 1, the longest, is shorter than t. The one
         # builder reads a rank's parts or a shape's tuple alike, and gives
-        # the empty shape mask 0.
+        # the empty shape mask 0, the walk's level 0.
         rows = pt.count_rows(14)
-        assert ch._beads(iter(()), 0) == 0
+        assert ch._beads(iter(()), 0) == ch.rank_beads(0, 0, rows) == 0
         for n in range(1, 15):
             for r in range(pt.partition_count(n)):
                 sh = pt.unrank(n, r, rows)
