@@ -51,9 +51,9 @@ def test_equals_every_rectangular_column(n):
 def test_nonzeros_count_multipartitions(n):
     # lambda is nonzero at (t^k) exactly when its t-core is empty, and the
     # t-quotient is then a bijection onto the t-multipartitions of k
-    shapes = pt.enumerate_partitions(n)
+    columns = dict(ch.class_columns(n))
     for t, k in _rectangles(n):
-        nonzeros = sum(orc.rectangular_value(sh, t, k) != 0 for sh in shapes)
+        nonzeros = len(columns[(t,) * k]) - columns[(t,) * k].count(0)
         assert nonzeros == _multipartitions(t, k), (t, k)
 
 
