@@ -22,10 +22,10 @@ the t-strips added to nu (Macdonald, Symmetric Functions, ch. I): the
 column chi^.(t, nu) is a sparse signed operator A_(|nu|,t) applied to the
 column chi^.(nu). class_columns walks the cycle types depth first as a trie
 of suffixes from the root () with column [1]; a child of nu prepends a part
-t >= nu_1 whose remainder parts >= t can still fill. The walk holds shapes
-as masks only: from one counting table, rank_beads builds the level masks
-of each m <= n once, in canonical order, and each operator is built from
-two levels when first reached. Only the vectors on the current path live.
+t >= nu_1 whose remainder parts >= t can still fill. Before its first
+column the walk builds every operator once, from the rank maps (mask ->
+rank) of two levels m <= n, read off one counting table by rank_beads; it
+then holds neither maps nor table, only operators and the current path.
 
 Everything is exact integer arithmetic; there is no floating point here.
 partitions.check_table_cap caps a table's p_n^2 entries; CharacterTable
@@ -186,19 +186,19 @@ class CharacterTable(NamedTuple):
                 "classes": classes, "values": rows}
 
 
-def _operator(src: list[int], dst: list[int], t: int) -> _Op:
-    """A_(m,t) from src to dst, the level masks of m and m + t.
+def _operator(src: dict[int, int], dst: dict[int, int], t: int) -> _Op:
+    """A_(m,t) from src to dst, the level maps (mask -> rank) of m and m + t.
 
-    A row lists its signed sources as indices into vec + -vec + [0]; the
-    trailing sentinel 0 keeps itemgetter returning a tuple for one index.
-    Row sums are differences of one running sum taken at the row ends.
+    Rows follow dst, whose order is canonical; each lists its signed
+    sources as indices into vec + -vec + [0], whose trailing sentinel 0
+    keeps itemgetter returning a tuple for one index. Row sums are
+    differences of one running sum taken at the row ends.
     """
-    rank = {b: r for r, b in enumerate(src)}
     shift = len(src)
     flat: list[int] = []
     ends = [0]
     for beads in dst:
-        flat.extend(rank[b] if sign > 0 else rank[b] + shift
+        flat.extend(src[b] if sign > 0 else src[b] + shift
                     for b, sign in _strips(beads, t))
         ends.append(len(flat))
     gather = itemgetter(*flat, 2 * shift)
@@ -208,6 +208,14 @@ def _operator(src: list[int], dst: list[int], t: int) -> _Op:
         run = at_ends(list(accumulate(gather([*vec, *map(neg, vec), 0]), initial=0)))
         return list(map(sub, run[1:], run))
     return apply
+
+
+def _steps(rest: int, low: int) -> tuple[int, ...]:
+    """The parts t a node with rest cells left and first part low may
+    prepend, in push order: t = rest or low <= t <= rest // 2, so the
+    child's own rest is 0 or at least t, and the single part rest can
+    always close it."""
+    return (rest, *range(rest // 2, low - 1, -1))
 
 
 def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, list[int]]]:
@@ -220,24 +228,21 @@ def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, l
         raise ValueError("n must be positive")
     pt.check_table_cap(n, cap)
     rows = pt._rows(n)  # the p_n^2 check above is the walk's one cap check
-    masks = [[rank_beads(m, r, rows) for r in range(rows[m][m])] for m in range(n + 1)]
-    ops: dict[tuple[int, int], _Op] = {}
-    # Entries are (t, nu, |nu|, chi^.(nu)); the child (t,) + nu is computed
-    # when popped. A child takes t = rest or t <= rest // 2, so its own rest
-    # is 0 or at least t, and the single part rest can always close it.
-    stack = [(n, (), 0, [1])] + [(t, (), 0, [1]) for t in range(n // 2, 0, -1)]
+    levels = [{rank_beads(m, r, rows): r for r in range(rows[m][m])} for m in range(n + 1)]
+    # (1^s) is in the walk for each s < n and takes every step s cells can
+    ops = {(s, t): _operator(levels[s], levels[s + t], t)
+           for s in range(n) for t in _steps(n - s, 1)}
+    del rows, levels
+    # Entries (t, nu, |nu|, chi^.(nu)); the child (t,) + nu is computed when popped
+    stack = [(t, (), 0, [1]) for t in _steps(n, 1)]
     while stack:
         t, nu, s, vec = stack.pop()
-        apply = ops.get((s, t))
-        if apply is None:
-            apply = ops[s, t] = _operator(masks[s], masks[s + t], t)
-        nu, s, vec = (t,) + nu, s + t, apply(vec)
+        nu, s, vec = (t,) + nu, s + t, ops[s, t](vec)
         rest = n - s
         if not rest:
             yield nu, vec
             continue
-        stack.append((rest, nu, s, vec))
-        stack.extend((u, nu, s, vec) for u in range(rest // 2, t - 1, -1))
+        stack.extend((u, nu, s, vec) for u in _steps(rest, t))
 
 
 def character_table(n: int, cap: int | None = None) -> CharacterTable:

@@ -45,13 +45,16 @@ def table_stats(n: int, cap: int | None = None) -> TableStats:
     """Exact zero/positive/negative counts for the table of S_n, taken one
     column at a time.
     """
-    zeros = positives = negatives = 0
+    entries = zeros = negatives = 0
     for _, col in ch.class_columns(n, cap):
+        entries += len(col)
         zeros += col.count(0)
-        positives += sum(1 for v in col if v > 0)
         negatives += sum(1 for v in col if v < 0)
+    positives = entries - zeros - negatives
     pn = pt.partition_count(n)
     total = pn * pn
+    # The three counts sum to the entries read by construction (every entry
+    # is an int), so this checks only that the columns hold p_n^2 of them.
     if zeros + positives + negatives != total:
         raise AssertionError(f"entry counts do not cover the table at n={n}")
     return TableStats(

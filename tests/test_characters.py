@@ -318,6 +318,25 @@ class TestClassColumns:
         for mu, col in ch.class_columns(20):
             assert sum(v * v for v in col) == pt.centralizer_order(mu), mu
 
+    @pytest.mark.parametrize("n", [1, 2, 20, 24])
+    def test_builds_before_the_first_column_what_it_applies(self, n, monkeypatch):
+        """n + sum of r // 2 over r <= n operators, all built by the first
+        column, each applied at least once by the end of the walk."""
+        want = n + sum(r // 2 for r in range(n + 1))
+        built, applied = [], set()
+
+        def spy(src, dst, t, real=ch._operator):
+            apply, k = real(src, dst, t), len(built)
+            built.append(k)
+            return lambda vec: applied.add(k) or apply(vec)
+
+        monkeypatch.setattr(ch, "_operator", spy)
+        stream = ch.class_columns(n)
+        next(stream)
+        assert len(built) == want
+        assert 1 + sum(1 for _ in stream) == pt.partition_count(n)
+        assert len(built) == want and applied == set(built)
+
     def test_cap_before_any_value(self):
         stream = ch.class_columns(10, cap=100)
         with pytest.raises(pt.CapExceededError, match=r"p_n\^2 = 1764"):

@@ -76,6 +76,31 @@ class TestLoader:
     def test_not_json(self):
         with pytest.raises(ValueError, match="not valid JSON"):
             gr.load_class_data(b"{nope")
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            gr.load_class_data(b"[]")
+
+    @pytest.mark.parametrize("order", ["0", "-6"])
+    def test_order_must_be_positive(self, order):
+        with pytest.raises(ValueError, match="group order must be positive"):
+            load(s3_doc(order=order, table=None))
+
+    @pytest.mark.parametrize("classes", [None, [], {"name": "e", "size": "6"}],
+                             ids=["missing", "empty", "not-a-list"])
+    def test_classes_must_be_a_nonempty_list(self, classes):
+        doc = s3_doc(table=None)
+        if classes is None:
+            del doc["classes"]
+        else:
+            doc["classes"] = classes
+        with pytest.raises(ValueError, match="classes must be a nonempty list"):
+            load(doc)
+
+    @pytest.mark.parametrize("key", ["name", "size"])
+    def test_class_needs_name_and_size(self, key):
+        doc = s3_doc(table=None)
+        del doc["classes"][1][key]
+        with pytest.raises(ValueError, match="class #1 must be an object with name and size"):
+            load(doc)
 
     def test_sizes_must_sum_to_order(self):
         doc = s3_doc(table=None)

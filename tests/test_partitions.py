@@ -91,6 +91,8 @@ class TestEnumeration:
     def test_degenerate(self):
         assert pt.enumerate_partitions(0) == [()]
         assert pt.enumerate_partitions(1) == [(1,)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            pt.enumerate_partitions(-1)
 
     def test_lengths(self):
         for n in (5, 12, 25, 40, 50):
@@ -181,6 +183,8 @@ class TestRanking:
             pt.unrank(5, pt.partition_count(5))
         with pytest.raises(ValueError):
             pt.unrank(5, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pt.unrank(-1, 0)
 
     @pytest.mark.parametrize("n", [100, 420, 1000])
     def test_unrank_matches_reference_scan(self, n):
