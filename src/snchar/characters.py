@@ -189,10 +189,9 @@ class CharacterTable(NamedTuple):
 def _operator(src: dict[int, int], dst: dict[int, int], t: int) -> _Op:
     """A_(m,t) from src to dst, the level maps (mask -> rank) of m and m + t.
 
-    Rows follow dst, whose order is canonical; each lists its signed
-    sources as indices into vec + -vec + [0], whose trailing sentinel 0
-    keeps itemgetter returning a tuple for one index. Row sums are
-    differences of one running sum taken at the row ends.
+    Rows follow dst's canonical order; a row lists its signed sources as
+    indices into vec + -vec + [0] (the 0 keeps itemgetter's result a tuple).
+    Row sums are differences of one running sum taken at the row ends.
     """
     shift = len(src)
     flat: list[int] = []

@@ -53,8 +53,7 @@ def table_stats(n: int, cap: int | None = None) -> TableStats:
     positives = entries - zeros - negatives
     pn = pt.partition_count(n)
     total = pn * pn
-    # The three counts sum to the entries read by construction (every entry
-    # is an int), so this checks only that the columns hold p_n^2 of them.
+    # every int is 0, > 0 or < 0, so this checks only sum len(col) = p_n^2
     if zeros + positives + negatives != total:
         raise AssertionError(f"entry counts do not cover the table at n={n}")
     return TableStats(
