@@ -1,10 +1,13 @@
 """Command-line surface: every operation reachable as a subcommand,
 with text output for humans and JSON/CSV for machines.
 
-Exit codes: 0 success, 2 argument or input validation failure,
-3 enumeration cap exceeded. Machine-readable output is deterministic:
-identical flags (and seed) produce byte-identical bytes. Every JSON
-report embeds the resolved run configuration.
+Exit codes: 0 success, 1 stdout closed before the report was written,
+2 argument or input validation failure, 3 enumeration cap exceeded.
+Machine-readable output is deterministic: identical flags (and seed)
+produce byte-identical bytes. Every JSON report embeds the resolved run
+configuration. main(), the snchar console script, freezes the import-time
+heap (gc.freeze), so no later collection walks it; run() and the library
+leave the collector as it is.
 
 This module only declares and dispatches. A subcommand is one command(...)
 call in _build_parser: its arguments, its formats, a compute callable from
@@ -15,6 +18,8 @@ so the config is the parsed namespace restricted to those fields.
 """
 
 import argparse
+import gc
+import os
 import sys
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -234,7 +239,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    gc.freeze()  # every import is done
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 quietly, with stdout on devnull
+        # so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -550,6 +550,79 @@ def test_cli_import_loads_no_dataclasses_or_json():
     assert submodules <= added
 
 
+_FREEZE_PROBE = """
+import gc
+from snchar import cli
+cli.run = lambda argv=None: print(gc.get_freeze_count()) or 0
+cli.main()
+"""
+
+
+def test_main_freezes_the_import_time_heap():
+    # the console script moves every import-time object to the permanent
+    # generation before run(), so no collection, at exit either, walks them
+    src = os.path.dirname(os.path.dirname(snchar.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 0
+
+
+_RUN_IN_PROCESS = """
+import gc
+import sys
+before = gc.get_freeze_count()
+from snchar import cli
+cli.run(["pzero", "5"])
+print(before, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+def test_import_and_run_leave_the_collector_alone():
+    # run() and the library are called in-process, hundreds of times in one
+    # test session: only main() freezes
+    src = os.path.dirname(os.path.dirname(snchar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SNCHAR_CAP", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_IN_PROCESS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = done.stderr.split()
+    assert before == after
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["pzero", "5"], ["table", "20", "--format", "csv"]],
+                         ids=["pzero-5", "table-20-csv"])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # a pipe whose read end is closed before the start: unbuffered, the
+    # report's write fails inside run(); buffered, main()'s final flush does
+    src = os.path.dirname(os.path.dirname(snchar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SNCHAR_CAP", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "snchar.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
+    assert "Exception ignored" not in done.stderr, done.stderr
+
+
 def test_module_run_prints_the_readme_block():
     # python3 -m snchar.cli runs the CLI like the installed snchar script
     src = os.path.dirname(os.path.dirname(snchar.__file__))
