@@ -17,9 +17,9 @@ Example:
 import argparse
 import csv
 import math
-import os
 import sys
 
+from snchar import cli
 from snchar import sampling as sp
 from snchar import vanishing as vn
 
@@ -83,12 +83,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early (say, `| head`): stop quietly, and
-        # point stdout at devnull so the flush at exit raises nothing either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    raise SystemExit(code)
+    cli.main(main)

@@ -28,8 +28,9 @@ rank) of two levels m <= n, read off one counting table by rank_beads; it
 then holds neither maps nor table, only operators and the current path.
 
 Everything is exact integer arithmetic; there is no floating point here.
-partitions.check_table_cap caps a table's p_n^2 entries; CharacterTable
-owns the table's text, CSV and JSON forms, which all read its rows().
+partitions.check_table_cap caps a table's p_n^2 entries; character_table
+sorts the walk's own classes into canonical order. CharacterTable owns the
+table's text, CSV and JSON forms, which all read its rows().
 """
 
 from collections.abc import Callable, Iterator
@@ -245,9 +246,9 @@ def class_columns(n: int, cap: int | None = None) -> Iterator[tuple[Partition, l
 
 
 def character_table(n: int, cap: int | None = None) -> CharacterTable:
-    """Build the full table for S_n: the column stream, buffered into
-    canonical order and transposed, so all p_n^2 values are held at once."""
+    """The full table of S_n: the walk's columns, keyed by classes sorted
+    descending (canonical order) and transposed; all p_n^2 values at once."""
     columns = dict(class_columns(n, cap))
-    classes = tuple(pt.enumerate_partitions(n, cap))
+    classes = tuple(sorted(columns, reverse=True))
     values = tuple(zip(*map(columns.pop, classes)))
     return CharacterTable(n=n, characters=classes, classes=classes, values=values)

@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 stdout closed before the report was written,
 2 argument or input validation failure, 3 enumeration cap exceeded.
 Machine-readable output is deterministic: identical flags (and seed)
 produce byte-identical bytes. Every JSON report embeds the resolved run
-configuration. main(), the snchar console script, freezes the import-time
-heap (gc.freeze), so no later collection walks it; run() and the library
-leave the collector as it is.
+configuration. main(), the snchar console script and the exit path of
+every script in scripts/, freezes the import-time heap (gc.freeze), so no
+later collection walks it; run() and the library leave the collector alone.
 
 This module only declares and dispatches. A subcommand is one command(...)
 call in _build_parser: its arguments, its formats, a compute callable from
@@ -212,36 +212,40 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig._fields})
 
 
-def run(argv=None) -> int:
-    """Parse argv, run the subcommand, emit its report.
-
-    Returns 0 on success, 2 on validation errors, 3 when a computation
-    would exceed the enumeration cap.
-    """
-    parser = _build_parser()
+def _exit_code(call, *args) -> int:
+    """call(*args), or 3 for a cap refusal and 2 for a validation error,
+    each after one "error:" line on stderr."""
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as e:
-            # --help lands here with code 0
-            return int(e.code or 0)
-        cfg = _config_from_args(args)
-        with _unlimited_int_digits():
-            text = args.run(cfg)
-        _emit(text, cfg)
-    except CapExceededError as e:
+        return call(*args)
+    except (CapExceededError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, CapExceededError) else 2
+
+
+def _run(argv) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # --help lands here with code 0
+        return int(e.code or 0)
+    cfg = _config_from_args(args)
+    with _unlimited_int_digits():
+        text = args.run(cfg)
+    _emit(text, cfg)
     return 0
 
 
-def main() -> None:
+def run(argv=None) -> int:
+    """Parse argv, run the subcommand, emit its report. Returns 0 on
+    success, 2 on validation errors, 3 when the cap would be exceeded."""
+    return _exit_code(_run, argv)
+
+
+def main(entry=None) -> None:
+    """Exit with entry()'s code (run() by default) on the contract above,
+    after freezing the import-time heap."""
     gc.freeze()  # every import is done
     try:
-        code = run()
+        code = _exit_code(entry or run)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: exit 1 quietly, with stdout on devnull

@@ -48,17 +48,23 @@ class ClassData(NamedTuple):
         return len(self.class_sizes)
 
 
-def _parse_int(value, what: str) -> int:
-    """A JSON integer, or a decimal string: an optional sign and ASCII
-    digits. int() alone would also take underscores, surrounding
-    whitespace and non-ASCII digits."""
+def _decimal(value) -> int | None:
+    """A JSON integer, or a decimal string (an optional sign and ASCII
+    digits), as an int; else None. int() alone would also take
+    underscores, surrounding whitespace and non-ASCII digits."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         digits = value[1:] if value[:1] in ("+", "-") else value
         if digits.isascii() and digits.isdigit():
             return int(value)
-    raise ValueError(f"{what} must be a decimal integer, got {value!r}")
+    return None
+
+
+def _parse_int(value, what: str) -> int:
+    if (got := _decimal(value)) is None:
+        raise ValueError(f"{what} must be a decimal integer, got {value!r}")
+    return got
 
 
 def rational_json(x: Fraction | None) -> dict | None:
@@ -76,17 +82,20 @@ def rational_text(x: Fraction) -> str:
     return f"{x} ({float(x):.15g})"
 
 
-def _parse_entry(value, where: str) -> int | Fraction:
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return _parse_int(value, f"table entry {where}")
+def _parse_entry(value, i: int, j: int) -> int | Fraction:
+    if (got := _decimal(value)) is not None:
+        return got  # the common case builds no location string
+    where = f"table entry [{i}][{j}]"
+    if isinstance(value, str):
+        _parse_int(value, where)  # raises: not a decimal string
     if isinstance(value, dict) and set(value) == {"num", "den"}:
-        num = _parse_int(value["num"], f"table entry {where} numerator")
-        den = _parse_int(value["den"], f"table entry {where} denominator")
+        num = _parse_int(value["num"], f"{where} numerator")
+        den = _parse_int(value["den"], f"{where} denominator")
         if den == 0:
-            raise ValueError(f"table entry {where} has zero denominator")
+            raise ValueError(f"{where} has zero denominator")
         return Fraction(num, den)
     raise ValueError(
-        f"table entry {where} must be an integer, decimal string, or"
+        f"{where} must be an integer, decimal string, or"
         f" {{'num','den'}} rational; irrational and complex values are out of scope"
     )
 
@@ -116,8 +125,7 @@ def load_class_data(source) -> ClassData:
     classes = doc.get("classes")
     if not isinstance(classes, list) or not classes:
         raise ValueError("classes must be a nonempty list")
-    names = []
-    sizes = []
+    names, sizes = [], []
     for i, c in enumerate(classes):
         if not isinstance(c, dict) or "name" not in c or "size" not in c:
             raise ValueError(f"class #{i} must be an object with name and size")
@@ -132,9 +140,7 @@ def load_class_data(source) -> ClassData:
         names.append(cname)
         sizes.append(size)
     if sum(sizes) != order:
-        raise ValueError(
-            f"class sizes sum to {sum(sizes)}, group order is {order}"
-        )
+        raise ValueError(f"class sizes sum to {sum(sizes)}, group order is {order}")
     k = len(sizes)
     table = None
     if doc.get("table") is not None:
@@ -146,7 +152,7 @@ def load_class_data(source) -> ClassData:
             if not isinstance(row, list) or len(row) != k:
                 raise ValueError(f"table row {i} must have {k} entries")
             parsed.append(tuple(
-                _parse_entry(v, f"[{i}][{j}]") for j, v in enumerate(row)
+                _parse_entry(v, i, j) for j, v in enumerate(row)
             ))
         table = tuple(parsed)
         for cname, size, col in zip(names, sizes, zip(*table)):
@@ -278,9 +284,7 @@ def best_omega_check(data: ClassData) -> OmegaCheckRecord:
     weights = [k * s - data.order for s in data.class_sizes]
     default_w = sum(w for w in weights if w >= 0)
     if k <= EXHAUSTIVE_LIMIT:
-        best = 0  # empty subset
-        acc = 0
-        mask = 0
+        best = acc = mask = 0  # best starts at the empty subset
         for i in range(1, 1 << k):
             flip = (i & -i).bit_length() - 1
             mask ^= 1 << flip

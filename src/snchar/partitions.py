@@ -23,9 +23,10 @@ checked again.
 
 import os
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterator
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 
@@ -213,34 +214,20 @@ def parts_at(n: int, r: int, rows: list[list[int]]) -> Iterator[int]:
 def conjugate(parts) -> Partition:
     """Transpose of the Young diagram; an involution."""
     t = as_partition(parts)
-    if not t:
-        return ()
-    out = []
-    for j in range(t[0]):
-        out.append(sum(1 for p in t if p > j))
-    return tuple(out)
+    return tuple(sum(1 for p in t if p > j) for j in range(t[0] if t else 0))
 
 
 def centralizer_order(parts) -> int:
     """Centralizer order of a permutation with the given cycle type:
     product over distinct part sizes i of i^m_i * m_i! (m_i = multiplicity).
     """
-    t = as_partition(parts)
-    mult: dict[int, int] = {}
-    for p in t:
-        mult[p] = mult.get(p, 0) + 1
-    z = 1
-    for i, m in mult.items():
-        z *= i**m * factorial(m)
-    return z
+    return prod(i**m * factorial(m) for i, m in Counter(as_partition(parts)).items())
 
 
 def class_size(parts) -> int:
     """Size of the conjugacy class with the given cycle type: n!/z."""
     t = as_partition(parts)
-    n = sum(t)
-    z = centralizer_order(t)
-    q, rem = divmod(factorial(n), z)
+    q, rem = divmod(factorial(sum(t)), centralizer_order(t))
     if rem:
         raise ArithmeticError(
             f"n! not divisible by centralizer order for {t}; implementation bug"

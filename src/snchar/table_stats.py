@@ -69,9 +69,12 @@ def table_stats(n: int, cap: int | None = None) -> TableStats:
 def stats_series(n_min: int, n_max: int, cap: int | None = None) -> list[TableStats]:
     """table_stats for each n in [n_min, n_max]; empty when n_min > n_max.
 
-    The cap is checked for n_max before any table work.
+    A non-empty range is checked for n_min >= 1, then the cap for n_max,
+    before any table work.
     """
     if n_min <= n_max:
+        if n_min < 1:
+            raise ValueError("n must be positive")
         pt.check_table_cap(n_max, cap)
     return [table_stats(n, cap) for n in range(n_min, n_max + 1)]
 

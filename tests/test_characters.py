@@ -227,6 +227,28 @@ class TestTable:
         with pytest.raises(ValueError):
             ch.character_table(0)
 
+    def test_axes_are_the_canonical_enumeration_up_to_22(self):
+        for n in range(1, 23):
+            t = ch.character_table(n)
+            assert t.classes == t.characters == tuple(pt.enumerate_partitions(n)), n
+
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    def test_one_cap_resolution_and_one_counting_table(self, n, monkeypatch):
+        """The axes come from the walk: no second cap check and no second
+        counting table beside the walk's own."""
+        calls = {"_rows": 0, "enumeration_cap": 0}
+
+        def spy(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(pt, name, spy(name, getattr(pt, name)))
+        ch.character_table(n)
+        assert calls == {"_rows": 1, "enumeration_cap": 1}
+
     def test_csv_n3(self):
         want = (
             "shape,3,2-1,1-1-1\n"

@@ -223,6 +223,8 @@ _ERRORS = [
      "error: --f must be 'log' or a number, got 'cubic'\n"),
     (["group"], "error: the following arguments are required: file\n"),
     (["table-stats", "3"], "error: the following arguments are required: n_max\n"),
+    # a bad n is reported before the cap check, as every exact command does
+    (["table-stats", "0", "100000"], "error: n must be positive\n"),
     (["pzero", "abc"], "error: argument n: invalid int value: 'abc'\n"),
     (["bound", "12", "--C", "x"], "error: argument --C: invalid float value: 'x'\n"),
     (["pzero", "3", "--wat"], "error: unrecognized arguments: --wat\n"),

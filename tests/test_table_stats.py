@@ -67,6 +67,12 @@ class TestSeries:
     def test_empty_range(self):
         assert stats_series(5, 4) == []
 
+    def test_bad_n_before_the_cap(self):
+        # p_100000^2 is far over any cap; n_min = 0 is what is wrong
+        with pytest.raises(ValueError, match="n must be positive"):
+            stats_series(0, 100_000)
+        assert stats_series(0, -1) == []
+
     def test_csv_shape(self):
         text = series_csv(stats_series(1, 4))
         lines = text.strip().split("\n")
