@@ -10,6 +10,7 @@ Example:
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 from snchar import cli
 from snchar import vanishing as vn
@@ -33,22 +34,20 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = vn.OmegaSpec(c=args.c, strict=args.strict)
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(sink)
-    writer.writerow([
-        "n", "p_n", "omega_count", "threshold", "q_n", "r_n",
-        "lower_bound", "exact_p",
-    ])
-    for n in range(args.n_min, args.n_max + 1):
-        rep = vn.lemma_bound(n, spec, compute_exact=n <= args.exact_max)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as sink:
+        writer = csv.writer(sink)
         writer.writerow([
-            rep.n, rep.p_n, rep.omega_count, spec.min_first_part(n),
-            f"{float(rep.q_n):.10f}", f"{float(rep.r_n):.10f}",
-            f"{float(rep.lower_bound):.10f}",
-            f"{float(rep.exact_p):.10f}" if rep.exact_p is not None else "",
+            "n", "p_n", "omega_count", "threshold", "q_n", "r_n",
+            "lower_bound", "exact_p",
         ])
-    if args.out:
-        sink.close()
+        for n in range(args.n_min, args.n_max + 1):
+            rep = vn.lemma_bound(n, spec, compute_exact=n <= args.exact_max)
+            writer.writerow([
+                rep.n, rep.p_n, rep.omega_count, spec.min_first_part(n),
+                f"{float(rep.q_n):.10f}", f"{float(rep.r_n):.10f}",
+                f"{float(rep.lower_bound):.10f}",
+                f"{float(rep.exact_p):.10f}" if rep.exact_p is not None else "",
+            ])
     return 0
 
 

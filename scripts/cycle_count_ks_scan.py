@@ -18,6 +18,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import nullcontext
 
 from snchar import cli
 from snchar import sampling as sp
@@ -65,20 +66,18 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(sink)
-    writer.writerow(["n", "samples", "ks_sampled", "ks_exact_lattice",
-                     "lattice_spacing"])
-    for n in args.n:
-        g = vn.goncharov_experiment(n, args.samples, args.seed)
-        writer.writerow([
-            n, args.samples,
-            f"{g.ks_distance:.6f}",
-            f"{exact_lattice_ks(n):.6f}",
-            f"{1.0 / math.sqrt(2 * math.log(n)):.6f}",
-        ])
-    if args.out:
-        sink.close()
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as sink:
+        writer = csv.writer(sink)
+        writer.writerow(["n", "samples", "ks_sampled", "ks_exact_lattice",
+                         "lattice_spacing"])
+        for n in args.n:
+            g = vn.goncharov_experiment(n, args.samples, args.seed)
+            writer.writerow([
+                n, args.samples,
+                f"{g.ks_distance:.6f}",
+                f"{exact_lattice_ks(n):.6f}",
+                f"{1.0 / math.sqrt(2 * math.log(n)):.6f}",
+            ])
     return 0
 
 

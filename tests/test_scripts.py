@@ -60,6 +60,7 @@ def test_pre_closed_pipe_exits_quietly(argv):
 
 # The scripts exit through snchar.cli.main, on the CLI's contract: 3 for a
 # cap refusal and 2 for bad input, each with one "error:" line on stderr.
+# -X dev shows a ResourceWarning for an --out file left open on the way.
 @pytest.mark.parametrize("argv,code,err", [
     (["bound_sweep.py", "--n-min", "29", "--n-max", "30", "--exact-max", "30"], 3,
      "error: a table for n=29 needs p_n^2 = 20839225 entries (exceeds cap 10000000)\n"),
@@ -67,16 +68,18 @@ def test_pre_closed_pipe_exits_quietly(argv):
     (["cycle_count_ks_scan.py", "--n", "20", "--samples", "0"], 2,
      "error: samples must be >= 1\n"),
 ], ids=["bound_sweep-cap", "cycle_count_ks_scan-n", "cycle_count_ks_scan-samples"])
-def test_bad_input_exits_on_the_cli_contract(argv, code, err):
+def test_bad_input_exits_on_the_cli_contract(argv, code, err, tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("SNCHAR_CAP", None)
+    out = tmp_path / "out.csv"
     done = subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, argv[0]), *argv[1:]],
+        [sys.executable, "-X", "dev", os.path.join(SCRIPTS, argv[0]), *argv[1:],
+         "--out", str(out)],
         capture_output=True, env=env, text=True, timeout=120,
     )
     assert done.returncode == code, done.stderr
     assert done.stderr == err
-    assert done.stdout.startswith("n,")
+    assert out.read_text().startswith("n,")
 
 
 def _full_lattice_ks(n: int) -> float:
